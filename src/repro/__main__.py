@@ -149,11 +149,16 @@ def cmd_all(args: argparse.Namespace) -> int:
     if args.profile:
         profile_dir = str(pathlib.Path(args.profile))
         pathlib.Path(profile_dir).mkdir(parents=True, exist_ok=True)
+    fault_plan = None
+    if args.faults is not None:
+        from repro.faults import FaultPlan
+
+        fault_plan = FaultPlan.load(args.faults).to_dict()
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     runner = ExperimentRunner(
         cache,
         force=args.force,
-        faults_path=args.faults,
+        fault_plan=fault_plan,
         trace_dir=trace_dir,
         profile_dir=profile_dir,
         tracer=tracer,

@@ -11,10 +11,11 @@ A *campaign* generalizes ``repro all`` into a fault-tolerant sweep over
   and the kernel guarantees exactly one thief wins;
 * failures **retry** with deterministic exponential backoff + jitter
   and quarantine after ``max_attempts`` (:mod:`repro.campaign.worker`);
-* results land in the shared content-addressed result cache, so
-  resumed/stolen/re-run cells dedupe to zero extra driver executions
-  and the merged output is byte-identical to a serial run
-  (:mod:`repro.campaign.campaign`).
+* each cell executes through :class:`repro.runner.ExperimentRunner`,
+  so results land in the shared content-addressed result cache under
+  the same key ``repro all`` uses; resumed/stolen/re-run cells dedupe
+  to zero extra driver executions and the merged output is
+  byte-identical to a serial run (:mod:`repro.campaign.campaign`).
 
 CLI: ``repro campaign run|status|resume|report|list|worker`` (also
 ``repro-campaign`` / ``python -m repro.campaign``). See docs/RUNNER.md.
@@ -26,7 +27,7 @@ from repro.campaign.campaign import (
     CampaignExistsError,
     DEFAULT_ROOT,
 )
-from repro.campaign.cells import Cell, CellRun, build_cells, execute_cell
+from repro.campaign.cells import Cell, build_cells
 from repro.campaign.journal import CellState, Journal
 from repro.campaign.leases import Lease, heartbeat_age
 from repro.campaign.worker import (
@@ -41,7 +42,6 @@ __all__ = [
     "CampaignError",
     "CampaignExistsError",
     "Cell",
-    "CellRun",
     "CellState",
     "DEFAULT_ROOT",
     "Journal",
@@ -50,7 +50,6 @@ __all__ = [
     "WorkerConfig",
     "WorkerStats",
     "build_cells",
-    "execute_cell",
     "heartbeat_age",
     "retry_backoff_s",
 ]

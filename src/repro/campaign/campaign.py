@@ -7,18 +7,20 @@ A campaign lives under ``.repro-cache/campaigns/<id>/``::
     journal.lock     # flock serializing appends
     leases/          # one flock+heartbeat file per leased cell
 
-The manifest is written once, atomically (tmp + ``os.replace`` with
-SIGINT deferred), and never edited — ``resume`` re-reads it, so an
-interrupted campaign is picked up exactly where the journal left off
-with the original spec even if the CLI arguments (or the fault-plan
-files they pointed at) are gone. Re-issuing ``campaign run`` with the
-same id but a *different* spec is an error, not a silent re-queue.
+The manifest is written once, atomically
+(:func:`~repro.runner.atomic.atomic_write_text`), and never edited —
+``resume`` re-reads it, so an interrupted campaign is picked up exactly
+where the journal left off with the original spec even if the CLI
+arguments (or the fault-plan files they pointed at) are gone.
+Re-issuing ``campaign run`` with the same id but a *different* spec is
+an error, not a silent re-queue.
 
-Results do not live here: cells store into the shared content-addressed
-:class:`~repro.runner.cache.ResultCache`, and :meth:`Campaign.merge`
-renders ``<cell_id>.csv``/``.txt`` pairs from it in manifest order —
-byte-identical to an uninterrupted serial run, however many crashes,
-steals and retries the journal records.
+Results do not live here: each cell runs through
+:class:`~repro.runner.ExperimentRunner`, which stores into the shared
+content-addressed :class:`~repro.runner.cache.ResultCache`, and
+:meth:`Campaign.merge` renders ``<cell_id>.csv``/``.txt`` pairs from it
+in manifest order — byte-identical to an uninterrupted serial run,
+however many crashes, steals and retries the journal records.
 """
 # Wall-clock reads are deliberate: campaign coordination is host-side.
 # simlint: ignore-file[SL201]
@@ -26,11 +28,9 @@ steals and retries the journal records.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import subprocess
 import sys
-import tempfile
 import time
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -39,7 +39,7 @@ from repro.campaign.journal import DONE, Journal, QUARANTINED
 from repro.campaign.worker import Worker, WorkerConfig, WorkerStats
 from repro.core.report import render_csv, render_result
 from repro.obs import Tracer, current_tracer
-from repro.runner.atomic import defer_sigint
+from repro.runner.atomic import atomic_write_text
 from repro.runner.cache import ResultCache
 
 __all__ = [
@@ -123,21 +123,10 @@ class Campaign:
             "cells": cell_dicts,
             "config": config.to_manifest(),
         }
-        campaign.dir.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=campaign.dir, prefix=".tmp-manifest-", suffix=".json"
+        atomic_write_text(
+            campaign.manifest_path,
+            json.dumps(manifest, indent=2, sort_keys=True),
         )
-        try:
-            with defer_sigint():
-                with os.fdopen(fd, "w") as fh:
-                    json.dump(manifest, fh, indent=2, sort_keys=True)
-                os.replace(tmp, campaign.manifest_path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
         campaign._manifest = manifest
         return campaign
 

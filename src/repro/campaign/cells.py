@@ -3,45 +3,35 @@
 A campaign is a set of :class:`Cell`\\ s. Each cell names an experiment
 driver plus (optionally) a fault plan, carried *inline* as the plan's
 canonical dict — a campaign directory is self-contained; resuming never
-depends on the original plan file still existing. The machine-config
-axis enters through the content address: :func:`Cell.fingerprint` is
-exactly the runner's cache key, which hashes every standard machine
-factory (see :mod:`repro.runner.fingerprint`), so a recalibrated
-machine spec re-runs every cell and two trees with identical configs
-share results.
+depends on the original plan file still existing.
 
-Because the fingerprint is *the* runner cache key, warm cells skip:
-a cell already computed by ``repro all`` (or by a previous campaign,
-or by a worker that was SIGKILLed after its cache write but before its
-journal append) is served from the content-addressed store without
-executing the driver.
+A cell is pure data: the worker's cell child executes it as
+``ExperimentRunner(cache, fault_plan=cell.plan).run([cell.exp_id])``
+(see :mod:`repro.campaign.worker`). The machine-config axis therefore
+enters through the runner's cache key, which hashes every standard
+machine factory, so a recalibrated machine spec re-runs every cell and
+two trees with identical configs share results. It also means warm
+cells skip: a cell already computed by ``repro all`` (or by a previous
+campaign, or by a worker that was SIGKILLed after its cache write but
+before its journal append) is served from the content-addressed store
+without executing the driver.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.runner.cache import CacheEntry, ResultCache
-from repro.runner.fingerprint import (
-    NO_FAULTS,
-    cache_key,
-    canonical_json,
-    driver_source,
-    machine_blob,
-    sha256_text,
-    sweep_blob,
-)
+from repro.runner.fingerprint import fault_hash
 
-__all__ = ["Cell", "CellRun", "build_cells", "execute_cell", "plan_tag"]
+__all__ = ["Cell", "build_cells", "plan_tag"]
 
 
 def plan_tag(plan: Optional[Dict[str, Any]]) -> str:
     """Short stable tag for a fault plan (empty for fault-free)."""
     if plan is None:
         return ""
-    return sha256_text(canonical_json(plan))[:8]
+    return fault_hash(plan)[:8]
 
 
 @dataclass(frozen=True)
@@ -61,24 +51,6 @@ class Cell:
         tag = plan_tag(plan)
         cell_id = f"{exp_id}@{tag}" if tag else exp_id
         return cls(cell_id=cell_id, exp_id=exp_id, plan=plan)
-
-    def fault_hash(self) -> str:
-        if self.plan is None:
-            return NO_FAULTS
-        return sha256_text(canonical_json(self.plan))
-
-    def fingerprint(self) -> str:
-        """The runner cache key for this cell in the current tree."""
-        from repro.version import __version__
-
-        return cache_key(
-            self.exp_id,
-            driver_src=driver_source(self.exp_id),
-            machines=machine_blob(),
-            sweeps=sweep_blob(),
-            version=__version__,
-            fault_hash=self.fault_hash(),
-        )
 
     def to_dict(self) -> Dict[str, Any]:
         d: Dict[str, Any] = {"cell_id": self.cell_id, "exp_id": self.exp_id}
@@ -112,62 +84,3 @@ def build_cells(
         for plan in variants:
             cells.append(Cell.make(exp_id, plan))
     return cells
-
-
-@dataclass
-class CellRun:
-    """Outcome of one cell execution (or warm cache skip)."""
-
-    cell_id: str
-    key: str
-    wall_s: float
-    from_cache: bool
-
-
-def execute_cell(
-    cell: Cell, cache: ResultCache, *, force: bool = False
-) -> CellRun:
-    """Run one cell: warm cells skip, cold cells execute and store.
-
-    The fault plan (if any) is installed for the duration of the
-    driver, exactly as ``repro run --faults`` would. The result lands
-    in the shared content-addressed store under the cell fingerprint,
-    so a later ``repro all`` (or another campaign) hits it too.
-    """
-    from repro.core.registry import get_experiment
-    from repro.version import __version__
-
-    key = cell.fingerprint()
-    if not force:
-        entry = cache.get(key)
-        if entry is not None:
-            return CellRun(
-                cell_id=cell.cell_id,
-                key=key,
-                wall_s=entry.wall_s,
-                from_cache=True,
-            )
-    if cell.plan is None:
-        t0 = time.perf_counter()  # simlint: ignore[SL201]
-        result = get_experiment(cell.exp_id)()
-        wall_s = time.perf_counter() - t0  # simlint: ignore[SL201]
-    else:
-        from repro.faults import FaultPlan, installed_plan
-
-        plan = FaultPlan.from_dict(cell.plan)
-        with installed_plan(plan):
-            t0 = time.perf_counter()  # simlint: ignore[SL201]
-            result = get_experiment(cell.exp_id)()
-            wall_s = time.perf_counter() - t0  # simlint: ignore[SL201]
-    cache.put(
-        CacheEntry(
-            key=key,
-            exp_id=cell.exp_id,
-            version=__version__,
-            wall_s=wall_s,
-            result=result,
-        )
-    )
-    return CellRun(
-        cell_id=cell.cell_id, key=key, wall_s=wall_s, from_cache=False
-    )

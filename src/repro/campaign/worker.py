@@ -15,9 +15,12 @@ drain loop:
 2. **execute** — run the cell in a forked child process
    (:func:`_cell_main`) so a wall-clock timeout can SIGKILL a wedged
    cell without taking the worker down. The parent beats the lease
-   heartbeat between joins. Warm cells are served by the
-   content-addressed result cache inside the child (zero driver
-   executions — this is what makes resume cheap and crash dedup free).
+   heartbeat between joins. The child hands the cell to
+   :class:`~repro.runner.ExperimentRunner` — the same key, cache
+   lookup, fault-plan install and cache entry as ``repro all`` — so
+   warm cells are served from the content-addressed result cache (zero
+   driver executions — this is what makes resume cheap and crash dedup
+   free) and a raising driver comes back as a failed outcome.
 3. **settle** — append ``done`` (with the result's cache key) or
    ``failed`` (with a deterministic exponential backoff + jitter drawn
    from ``rng.fork(f"campaign.retry.{cell}.{n}")``, so every worker
@@ -50,7 +53,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.campaign.cells import Cell, execute_cell
+from repro.campaign.cells import Cell
 from repro.campaign.journal import (
     DONE,
     FAILED,
@@ -61,6 +64,7 @@ from repro.campaign.journal import (
 )
 from repro.campaign.leases import Lease, heartbeat_age
 from repro.runner.cache import ResultCache
+from repro.runner.runner import ExperimentRunner
 from repro.simengine.rng import fork
 
 __all__ = ["Worker", "WorkerConfig", "retry_backoff_s"]
@@ -133,26 +137,36 @@ def retry_backoff_s(
 
 def _cell_main(cell_dict: Dict[str, Any], cache_dir: str, force: bool,
                conn) -> None:
-    """Child-process entry: execute one cell, report through ``conn``."""
+    """Child-process entry: run one cell, report through ``conn``.
+
+    The cell goes through :meth:`ExperimentRunner.run` under its own
+    fault plan, so it is keyed, executed and stored exactly as
+    ``repro all --faults`` would do it.
+    """
     delay = float(os.environ.get("REPRO_CAMPAIGN_CELL_DELAY_S", "0") or 0)
     if delay > 0:
         time.sleep(delay)
     try:
-        run = execute_cell(
-            Cell.from_dict(cell_dict), ResultCache(cache_dir), force=force
+        cell = Cell.from_dict(cell_dict)
+        runner = ExperimentRunner(
+            ResultCache(cache_dir), force=force, fault_plan=cell.plan
         )
+        [outcome] = runner.run([cell.exp_id])
+        error = outcome.error
     except BaseException as exc:  # noqa: BLE001 - report, then die nonzero
+        error = f"{type(exc).__name__}: {exc}"
+    if error is not None:
         try:
-            conn.send({"ok": False, "error": f"{type(exc).__name__}: {exc}"})
+            conn.send({"ok": False, "error": error})
         finally:
             conn.close()
         raise SystemExit(1)
     conn.send(
         {
             "ok": True,
-            "key": run.key,
-            "wall_s": run.wall_s,
-            "from_cache": run.from_cache,
+            "key": outcome.key,
+            "wall_s": outcome.wall_s,
+            "from_cache": outcome.from_cache,
         }
     )
     conn.close()

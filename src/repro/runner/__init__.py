@@ -10,21 +10,23 @@ simulation sweep) lives on:
   constants, the package version and the fault-plan hash;
 * :mod:`repro.runner.cache` — a content-addressed result store under
   ``.repro-cache/`` with atomic writes and corruption-as-miss reads;
-* :mod:`repro.runner.runner` — :class:`ExperimentRunner`, which checks
-  the cache, fans misses out across a process pool (surviving worker
-  deaths: a ``BrokenProcessPool`` casualty is retried inline once and
-  reported as a per-experiment failure, never an abort), merges
-  outcomes in registry order, and reports cache/wall-time counters
-  through :mod:`repro.obs`;
-* :mod:`repro.runner.atomic` — SIGINT deferral around the atomic
-  publish step, so Ctrl-C never tears an on-disk write;
+* :mod:`repro.runner.runner` — :class:`ExperimentRunner`, the only
+  code that turns an experiment id and fault plan into a cache key, an
+  execution and a stored entry: it checks the cache, fans misses out
+  across a process pool (a raising driver, or a ``BrokenProcessPool``
+  casualty whose one inline retry fails too, is reported as a
+  per-experiment failure, never an abort), merges outcomes in registry
+  order, and reports cache/wall-time counters through :mod:`repro.obs`;
+* :mod:`repro.runner.atomic` — ``atomic_write_text``, the one
+  temp-file + ``os.replace`` publish, with SIGINT deferred so Ctrl-C
+  never tears an on-disk write;
 * :mod:`repro.runner.cache_cli` — ``repro cache verify|gc`` store
   hygiene.
 
 ``repro all`` is the one-host, ephemeral special case of a *campaign*:
 :mod:`repro.campaign` layers a journaled, resumable, multi-worker
-work-queue over the same content-addressed store (the campaign cell
-fingerprint **is** the runner cache key, so the two share results).
+work-queue over the same content-addressed store (each campaign cell
+runs through :class:`ExperimentRunner`, so the two share results).
 
 See docs/RUNNER.md for the cache layout and CLI semantics
 (``repro all --jobs N [--force] [--no-cache]``).
@@ -39,9 +41,8 @@ from repro.runner.cache import (
 from repro.runner.fingerprint import (
     NO_FAULTS,
     cache_key,
-    cache_key_for,
     driver_source,
-    fault_plan_hash,
+    fault_hash,
     machine_blob,
     sweep_blob,
 )
@@ -55,10 +56,9 @@ __all__ = [
     "ResultCache",
     "RunOutcome",
     "cache_key",
-    "cache_key_for",
     "defer_sigint",
     "driver_source",
-    "fault_plan_hash",
+    "fault_hash",
     "machine_blob",
     "sweep_blob",
 ]

@@ -1,18 +1,24 @@
 """Interrupt-safe critical sections for on-disk state.
 
-The result cache, the campaign journal and the campaign manifest all
-follow the same discipline: build the new bytes off to the side, then
-publish them with a single atomic step (``os.replace`` or one
-``O_APPEND`` write). The one hole left is the operator's Ctrl-C landing
-*inside* the critical section: CPython raises ``KeyboardInterrupt`` at
-an arbitrary bytecode boundary, which can abandon a temp file or tear
-the append between ``write`` and ``fsync``.
+The result cache, the race-certificate cache, the campaign journal and
+the campaign manifest all follow the same discipline: build the new
+bytes off to the side, then publish them with a single atomic step
+(``os.replace`` or one ``O_APPEND`` write). The one hole left is the
+operator's Ctrl-C landing *inside* the critical section: CPython raises
+``KeyboardInterrupt`` at an arbitrary bytecode boundary, which can
+abandon a temp file or tear the append between ``write`` and ``fsync``.
 
 :func:`defer_sigint` closes that hole. Inside the block SIGINT is
 parked; on exit the previous handler is restored and, if a signal
 arrived meanwhile, it is delivered — so the interrupt is *deferred*,
-never lost. The window is a few milliseconds of JSON serialization, so
+never lost. The window is a few milliseconds of file I/O, so
 interactivity is unaffected.
+
+:func:`atomic_write_text` is the one temp-file + ``os.replace`` publish
+every whole-file writer uses (the journal appends instead): the text is
+written to a ``.tmp-*`` sibling and renamed over the target under
+:func:`defer_sigint`, so readers see the old file or the new one, never
+a torn one, and an interrupted write leaves no temp file behind.
 
 Worker threads and exotic embeddings cannot (and need not) install
 signal handlers; there the context manager is a no-op and the caller
@@ -21,12 +27,15 @@ falls back on the atomic-publish discipline alone.
 
 from __future__ import annotations
 
+import os
+import pathlib
 import signal
+import tempfile
 import threading
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Iterator, Union
 
-__all__ = ["defer_sigint"]
+__all__ = ["atomic_write_text", "defer_sigint"]
 
 
 @contextmanager
@@ -62,3 +71,31 @@ def defer_sigint() -> Iterator[None]:
                 previous(*received[0])
             else:
                 raise KeyboardInterrupt
+
+
+def atomic_write_text(
+    path: Union[str, pathlib.Path], text: str
+) -> pathlib.Path:
+    """Publish ``text`` at ``path`` atomically; returns the path.
+
+    Creates the parent directory if needed. The temp file lives beside
+    the target (same filesystem, so the rename is atomic) and is removed
+    if anything — an interrupt included — stops the publish.
+    """
+    path = pathlib.Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(
+        dir=path.parent, prefix=".tmp-", suffix=path.suffix
+    )
+    try:
+        with defer_sigint():
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+    return path

@@ -10,26 +10,25 @@ Layout (under the cache root, default ``.repro-cache/``)::
 Each entry is a self-describing JSON document: the key, the experiment
 id, the package version, the measured execution wall time, and the
 serialized :class:`~repro.core.experiment.ExperimentResult`. Entries are
-written atomically (temp file + ``os.replace``) so a crashed or
-concurrent run never leaves a truncated entry; unreadable entries are
-treated as misses and overwritten.
+written atomically (:func:`~repro.runner.atomic.atomic_write_text`) so a
+crashed or concurrent run never leaves a truncated entry; unreadable
+entries are treated as misses and overwritten.
 
-The key (see :mod:`repro.runner.fingerprint`) addresses *content*: two
-trees with identical driver source, machine configs, sweeps, version and
-fault plan share results; any divergence misses.
+The key (see :meth:`~repro.runner.runner.ExperimentRunner.key_for`)
+addresses *content*: two trees with identical driver source, machine
+configs, sweeps, version and fault plan share results; any divergence
+misses.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import pathlib
-import tempfile
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 from repro.core.experiment import ExperimentResult
-from repro.runner.atomic import defer_sigint
+from repro.runner.atomic import atomic_write_text
 
 #: Bump when the entry schema changes; lives in the directory layout so
 #: old and new schemas never collide.
@@ -108,32 +107,16 @@ class ResultCache:
     def put(self, entry: CacheEntry) -> pathlib.Path:
         """Atomically store ``entry``; returns the entry path.
 
-        SIGINT is deferred across the write-then-replace so an
-        operator's Ctrl-C cannot abandon the temp file or interrupt
-        between serialization and publication — the entry either fully
-        appears or the temp file is removed, and the interrupt is
-        delivered right after.
+        Published through :func:`~repro.runner.atomic.atomic_write_text`,
+        so an operator's Ctrl-C cannot tear the entry or abandon a temp
+        file — the entry either fully appears or not at all, and the
+        interrupt is delivered right after.
         """
-        path = self.path_for(entry.key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-", suffix=".json"
+        # No sort_keys: column order of table rows is semantic and must
+        # survive the round-trip byte-identically.
+        return atomic_write_text(
+            self.path_for(entry.key), json.dumps(entry.to_dict())
         )
-        try:
-            with defer_sigint():
-                with os.fdopen(fd, "w") as fh:
-                    # No sort_keys: column order of table rows is
-                    # semantic and must survive the round-trip
-                    # byte-identically.
-                    json.dump(entry.to_dict(), fh)
-                os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return path
 
     def __contains__(self, key: str) -> bool:
         return self.get(key) is not None

@@ -18,7 +18,10 @@ ingredients:
   including the empty shield plan).
 
 The ingredients are explicit keyword arguments so tests can vary each
-independently and assert a miss.
+independently and assert a miss. The live ingredients are gathered in
+one place, :meth:`repro.runner.ExperimentRunner.key_for`; every front
+end (``repro all``, campaign cells, simrace certificates) derives its
+key through it.
 """
 
 from __future__ import annotations
@@ -92,19 +95,16 @@ def sweep_blob() -> str:
     return canonical_json(sweep_constants())
 
 
-def fault_plan_hash(path: Optional[str]) -> str:
-    """Hash of the fault plan at ``path`` (``NO_FAULTS`` when none).
+def fault_hash(plan: Optional[Dict[str, Any]]) -> str:
+    """Hash of a fault plan's canonical dict (``NO_FAULTS`` when none).
 
-    Hashes the *parsed, canonicalized* plan rather than raw file bytes,
-    so cosmetic JSON reformatting does not flush the cache but any
-    semantic change (one more event, a different node) does.
+    ``plan`` is :meth:`repro.faults.FaultPlan.to_dict` output, so
+    cosmetic JSON reformatting of the plan file does not flush the cache
+    but any semantic change (one more event, a different node) does.
     """
-    if path is None:
+    if plan is None:
         return NO_FAULTS
-    from repro.faults import FaultPlan
-
-    plan = FaultPlan.load(str(path))
-    return sha256_text(canonical_json(plan.to_dict()))
+    return sha256_text(canonical_json(plan))
 
 
 def cache_key(
@@ -128,17 +128,3 @@ def cache_key(
         }
     )
     return sha256_text(document)
-
-
-def cache_key_for(exp_id: str, faults_path: Optional[str] = None) -> str:
-    """The live cache key for ``exp_id`` in the current tree."""
-    from repro.version import __version__
-
-    return cache_key(
-        exp_id,
-        driver_src=driver_source(exp_id),
-        machines=machine_blob(),
-        sweeps=sweep_blob(),
-        version=__version__,
-        fault_hash=fault_plan_hash(faults_path),
-    )

@@ -1,6 +1,13 @@
 """Parallel, cache-aware execution of experiment drivers.
 
-:class:`ExperimentRunner` is the engine behind ``repro all``:
+:class:`ExperimentRunner` is the one path from an experiment id (plus
+an optional fault plan, carried as its canonical dict) to a cache key,
+an execution and a stored :class:`~repro.runner.cache.CacheEntry`.
+``repro all`` drives it directly, each campaign cell child runs one
+``ExperimentRunner(...).run([exp_id])``, and simrace derives its
+certificate keys from :meth:`ExperimentRunner.key_for` — so the front
+ends cannot drift apart in how they key, execute or store a result.
+It:
 
 * resolves the requested ids against the registry and always returns
   outcomes in **registry (sorted) order**, whatever the completion
@@ -12,6 +19,9 @@
   single driver;
 * dispatches the misses across a :class:`concurrent.futures.
   ProcessPoolExecutor` (``jobs > 1``) or runs them inline (``jobs=1``);
+* turns a raising driver into a failed :class:`RunOutcome` rather than
+  an abort, so one broken experiment never costs the others their
+  artifacts;
 * surfaces per-experiment wall time and cache hit/miss totals through
   the :mod:`repro.obs` counter layer (``runner.cache.hits``,
   ``runner.cache.misses``, ``runner.exp[<id>].wall_s``) whenever a
@@ -27,6 +37,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -37,7 +48,7 @@ from repro.runner.cache import CacheEntry, ResultCache
 from repro.runner.fingerprint import (
     cache_key,
     driver_source,
-    fault_plan_hash,
+    fault_hash,
     machine_blob,
     sweep_blob,
 )
@@ -53,9 +64,9 @@ class RunOutcome:
     the original run (the hit itself costs only a JSON load).
 
     ``error`` is set (and ``result`` is ``None``) when the experiment
-    could not be executed at all — a pool worker died (OOM-killed,
-    segfaulted) and the one inline retry failed too. Failed outcomes
-    are never cached.
+    could not be executed: its driver raised, or a pool worker died
+    (OOM-killed, segfaulted) and the one inline retry failed too.
+    Failed outcomes are never cached.
 
     ``net`` is the ``(fast, total)`` network transfer count observed by
     the executing process (:func:`repro.network.simnet.transfer_totals`)
@@ -80,7 +91,7 @@ class RunOutcome:
 
 def _execute(
     exp_id: str,
-    faults_path: Optional[str] = None,
+    fault_plan: Optional[Dict[str, Any]] = None,
     trace_path: Optional[str] = None,
     profile_dir: Optional[str] = None,
 ) -> Dict[str, Any]:
@@ -91,24 +102,40 @@ def _execute(
     executing process — process-global state does not cross the pool
     boundary (which is also why profile artifacts are written here, in
     the worker, rather than returned).
+
+    A driver that raises yields an ``error`` payload instead. Only
+    :class:`Exception` is caught: ``KeyboardInterrupt`` still stops the
+    run.
     """
-    from repro.experiments.common import faults_from, profiling_to, tracing_to
+    from repro.experiments.common import profiling_to, tracing_to
     from repro.network import simnet
 
-    with faults_from(faults_path), \
-            tracing_to(trace_path, exp_id=exp_id), \
-            profiling_to(profile_dir, exp_id):
-        simnet.reset_transfer_totals()
-        t0 = time.perf_counter()  # simlint: ignore[SL201]
-        result = get_experiment(exp_id)()
-        wall_s = time.perf_counter() - t0  # simlint: ignore[SL201]
-        net = simnet.reset_transfer_totals()
-    return {
-        "exp_id": exp_id,
-        "result": result.to_dict(),
-        "wall_s": wall_s,
-        "net": list(net),
-    }
+    faults = nullcontext()
+    if fault_plan is not None:
+        from repro.faults import FaultPlan, installed_plan
+
+        faults = installed_plan(FaultPlan.from_dict(fault_plan))
+    try:
+        with faults, \
+                tracing_to(trace_path, exp_id=exp_id), \
+                profiling_to(profile_dir, exp_id):
+            simnet.reset_transfer_totals()
+            t0 = time.perf_counter()  # simlint: ignore[SL201]
+            result = get_experiment(exp_id)()
+            wall_s = time.perf_counter() - t0  # simlint: ignore[SL201]
+            net = simnet.reset_transfer_totals()
+        return {
+            "exp_id": exp_id,
+            "result": result.to_dict(),
+            "wall_s": wall_s,
+            "net": list(net),
+        }
+    except Exception as exc:  # noqa: BLE001 - surfaced per-experiment
+        return {
+            "exp_id": exp_id,
+            "error": f"{type(exc).__name__}: {exc}",
+            "wall_s": 0.0,
+        }
 
 
 class ExperimentRunner:
@@ -119,9 +146,10 @@ class ExperimentRunner:
         path.
     :param force: execute even on a cache hit and overwrite the entry
         (``--force``).
-    :param faults_path: JSON fault plan installed in every executing
-        process; its hash is part of every cache key, so injected runs
-        never alias fault-free ones.
+    :param fault_plan: fault plan as its canonical dict
+        (:meth:`repro.faults.FaultPlan.to_dict`), installed in every
+        executing process; its hash is part of every cache key, so
+        injected runs never alias fault-free ones.
     :param trace_dir: when set, each *executed* experiment writes a
         Perfetto trace to ``<trace_dir>/<exp_id>.trace.json``. Tracing
         implies execution — a cache hit cannot regenerate a trace — so
@@ -140,14 +168,14 @@ class ExperimentRunner:
         cache: Optional[ResultCache] = None,
         *,
         force: bool = False,
-        faults_path: Optional[str] = None,
+        fault_plan: Optional[Dict[str, Any]] = None,
         trace_dir: Optional[str] = None,
         profile_dir: Optional[str] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.cache = cache
         self.force = bool(force)
-        self.faults_path = faults_path
+        self.fault_plan = fault_plan
         self.trace_dir = trace_dir
         self.profile_dir = profile_dir
         self.tracer = tracer
@@ -163,7 +191,7 @@ class ExperimentRunner:
             machines=machine_blob(),
             sweeps=sweep_blob(),
             version=__version__,
-            fault_hash=fault_plan_hash(self.faults_path),
+            fault_hash=fault_hash(self.fault_plan),
         )
 
     # -- execution --------------------------------------------------------
@@ -212,7 +240,7 @@ class ExperimentRunner:
                     exp_id=exp_id,
                     result=None,
                     from_cache=False,
-                    wall_s=payload.get("wall_s", 0.0),
+                    wall_s=payload["wall_s"],
                     key=key,
                     error=payload["error"],
                 )
@@ -259,7 +287,7 @@ class ExperimentRunner:
         }
         if jobs <= 1 or len(exp_ids) == 1:
             return [
-                _execute(e, self.faults_path, trace_path[e], self.profile_dir)
+                _execute(e, self.fault_plan, trace_path[e], self.profile_dir)
                 for e in exp_ids
             ]
         payloads: List[Dict[str, Any]] = []
@@ -267,7 +295,7 @@ class ExperimentRunner:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
                 pool.submit(
-                    _execute, e, self.faults_path, trace_path[e],
+                    _execute, e, self.fault_plan, trace_path[e],
                     self.profile_dir,
                 )
                 for e in exp_ids
@@ -283,23 +311,15 @@ class ExperimentRunner:
                     # than aborting the whole run.
                     broken.append(exp_id)
         for exp_id in broken:
-            try:
-                payloads.append(
-                    _execute(
-                        exp_id, self.faults_path, trace_path[exp_id],
-                        self.profile_dir,
-                    )
+            payload = _execute(
+                exp_id, self.fault_plan, trace_path[exp_id], self.profile_dir
+            )
+            if payload.get("error") is not None:
+                payload["error"] = (
+                    "worker process died and the inline retry failed: "
+                    + payload["error"]
                 )
-            except Exception as exc:  # noqa: BLE001 - surfaced per-exp
-                payloads.append(
-                    {
-                        "exp_id": exp_id,
-                        "error": (
-                            "worker process died and the inline retry "
-                            f"failed: {type(exc).__name__}: {exc}"
-                        ),
-                    }
-                )
+            payloads.append(payload)
         return payloads
 
     # -- telemetry --------------------------------------------------------

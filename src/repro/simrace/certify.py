@@ -20,10 +20,10 @@ rewrite's "bit-identical results" gate (ROADMAP item 1, and
 docs/DETERMINISM.md).
 
 Certificates are content-addressed like cached results: the key covers
-the driver fingerprint (source, machine configs, sweeps, version — see
-:mod:`repro.runner.fingerprint`) plus the certification parameters, so
-editing a driver or the machine model invalidates its certificate and
-nothing else.
+the driver's result cache key (source, machine configs, sweeps, version
+— see :meth:`repro.runner.ExperimentRunner.key_for`) plus the
+certification parameters, so editing a driver or the machine model
+invalidates its certificate and nothing else.
 """
 
 from __future__ import annotations
@@ -31,12 +31,11 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
-import os
 import pathlib
-import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from repro.runner.atomic import atomic_write_text
 from repro.runner.fingerprint import canonical_json
 from repro.simrace.permute import DEFAULT_SEED, permutation_seeds, tie_break_permutation
 
@@ -119,33 +118,22 @@ class CertificateCache:
             return None
 
     def put(self, key: str, cert: Certificate) -> pathlib.Path:
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".json")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(
-                    {"schema": RACE_SCHEMA, "key": key, "certificate": cert.to_dict()},
-                    fh,
-                )
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return path
+        return atomic_write_text(
+            self.path_for(key),
+            json.dumps(
+                {"schema": RACE_SCHEMA, "key": key, "certificate": cert.to_dict()}
+            ),
+        )
 
 
 def certificate_key(exp_id: str, k: int, base_seed: int) -> str:
-    """Content key: the driver's result fingerprint + race parameters."""
-    from repro.runner.fingerprint import cache_key_for
+    """Content key: the driver's result cache key + race parameters."""
+    from repro.runner.runner import ExperimentRunner
 
     document = canonical_json(
         {
             "race_schema": RACE_SCHEMA,
-            "result_key": cache_key_for(exp_id),
+            "result_key": ExperimentRunner().key_for(exp_id),
             "k": int(k),
             "base_seed": int(base_seed),
         }

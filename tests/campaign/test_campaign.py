@@ -3,6 +3,7 @@
 # simlint: ignore-file[SL302,SL303]
 
 import json
+import pathlib
 
 import pytest
 
@@ -12,15 +13,18 @@ from repro.campaign import (
     CampaignExistsError,
     WorkerConfig,
     build_cells,
-    execute_cell,
 )
+from repro.__main__ import main as repro_main
+from repro.campaign.cells import plan_tag
 from repro.core import registry
 from repro.core.report import render_csv, render_result
+from repro.faults import FaultPlan
 from repro.obs import Tracer
-from repro.runner import ResultCache
+from repro.runner import ExperimentRunner, ResultCache
 
 CHEAP = ["fig05", "table1"]
 EMPTY_PLAN = {"version": 1, "events": []}
+SRC = str(pathlib.Path(__file__).resolve().parents[2] / "src")
 
 
 def _bomb_all_drivers(monkeypatch):
@@ -134,8 +138,8 @@ def test_cache_write_before_journal_append_dedupes(tmp_path, monkeypatch):
     # cell's result is in the store but the journal never saw "done".
     campaign = _create(tmp_path)
     cache = ResultCache(campaign.config().cache_dir)
-    for cell in campaign.cells():
-        execute_cell(cell, cache)
+    for cell in campaign.cells():  # what the worker's cell child runs
+        ExperimentRunner(cache, fault_plan=cell.plan).run([cell.exp_id])
     campaign.journal.append(
         {"cell": "fig05", "state": "leased", "worker": "dead", "attempt": 1}
     )
@@ -216,3 +220,56 @@ def test_list_ids_sees_only_real_campaigns(tmp_path):
     _create(tmp_path, campaign_id="a", cells=build_cells(["fig05"]))
     (tmp_path / "root" / "debris").mkdir()
     assert Campaign.list_ids(tmp_path / "root") == ["a", "b"]
+
+
+@pytest.mark.parametrize("faulted", [False, True], ids=["no-faults", "sampled"])
+def test_front_ends_share_keys_and_bytes(tmp_path, monkeypatch, faulted):
+    """serial == --jobs 2 == inline campaign == 2-worker campaign.
+
+    All four front ends execute through ``ExperimentRunner``, each into
+    its own cache, so agreement here means equal cache keys and
+    byte-identical artifacts, not one front end reading another's
+    entries.
+    """
+    ids = ",".join(["fig04", "fig12_13", "table1"])
+    monkeypatch.setenv("PYTHONPATH", SRC)  # spawned campaign workers
+    monkeypatch.chdir(tmp_path)
+    all_faults, campaign_faults, tag = [], "none", ""
+    if faulted:
+        plan = FaultPlan.sample(
+            10.0, 2, node_mtbf_s=2.0, nic_mtbf_s=2.0, seed=7
+        )
+        plan.save("plan.json")
+        all_faults, campaign_faults = ["--faults", "plan.json"], "plan.json"
+        tag = "@" + plan_tag(plan.to_dict())
+    regen = ["all", "--only", ids, *all_faults]
+    campaign = [
+        "campaign", "run", "--root", "campaigns", "--cells", ids,
+        "--faults", campaign_faults,
+    ]
+    runs = {  # name -> (argv, artifact name suffix)
+        "serial": (regen + ["--jobs", "1"], ""),
+        "jobs2": (regen + ["--jobs", "2"], ""),
+        "inline": (campaign + ["--id", "inline", "--workers", "0"], tag),
+        "workers2": (campaign + ["--id", "w2", "--workers", "2"], tag),
+    }
+    keys, artifacts = {}, {}
+    for name, (argv, suffix) in runs.items():
+        argv = argv + [
+            "--cache-dir", f"{name}-cache", "--out", name,
+            "--report", f"{name}.json",
+        ]
+        assert repro_main(argv) == 0, name
+        report = json.loads(pathlib.Path(f"{name}.json").read_text())
+        rows = report.get("experiments") or report["cells"]
+        keys[name] = {r["exp_id"]: r["key"] for r in rows}
+        artifacts[name] = {
+            f"{exp_id}.{ext}": (tmp_path / name / f"{exp_id}{suffix}.{ext}")
+            .read_bytes()
+            for exp_id in ids.split(",")
+            for ext in ("csv", "txt")
+        }
+    assert sorted(keys["serial"]) == ids.split(",")
+    assert keys["serial"] == keys["jobs2"] == keys["inline"] == keys["workers2"]
+    assert artifacts["serial"] == artifacts["jobs2"] == artifacts["inline"]
+    assert artifacts["serial"] == artifacts["workers2"]

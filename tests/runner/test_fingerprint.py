@@ -2,12 +2,13 @@
 
 import json
 
+from repro.faults import FaultPlan
 from repro.runner import (
     NO_FAULTS,
+    ExperimentRunner,
     cache_key,
-    cache_key_for,
     driver_source,
-    fault_plan_hash,
+    fault_hash,
     machine_blob,
     sweep_blob,
 )
@@ -73,14 +74,19 @@ def test_sweep_blob_matches_common_constants():
     assert blob["GLOBAL_SWEEP"] == list(GLOBAL_SWEEP)
 
 
+def _plan_hash(path):
+    return fault_hash(FaultPlan.load(str(path)).to_dict())
+
+
 def test_empty_fault_plan_differs_from_no_faults(tmp_path):
     plan = tmp_path / "plan.json"
     plan.write_text('{"version": 1, "events": []}')
-    h = fault_plan_hash(str(plan))
+    h = _plan_hash(plan)
     assert h != NO_FAULTS
+    assert fault_hash(None) == NO_FAULTS
     # Cosmetic JSON reformatting must not change the hash...
     plan.write_text('{"events":[],"version":1}')
-    assert fault_plan_hash(str(plan)) == h
+    assert _plan_hash(plan) == h
 
 
 def test_semantic_fault_plan_change_changes_hash(tmp_path):
@@ -91,14 +97,16 @@ def test_semantic_fault_plan_change_changes_hash(tmp_path):
         "version": 1,
         "events": [{"t_s": 10.0, "kind": "node_crash", "node": 3}],
     }))
-    assert fault_plan_hash(str(a)) != fault_plan_hash(str(b))
+    assert _plan_hash(a) != _plan_hash(b)
 
 
-def test_cache_key_for_is_stable_and_fault_sensitive(tmp_path):
-    assert cache_key_for("fig05") == cache_key_for("fig05")
+def test_key_for_is_stable_and_fault_sensitive(tmp_path):
+    key = ExperimentRunner().key_for("fig05")
+    assert key == ExperimentRunner().key_for("fig05")
     plan = tmp_path / "plan.json"
     plan.write_text('{"version": 1, "events": []}')
-    assert cache_key_for("fig05") != cache_key_for("fig05", str(plan))
+    faulted = ExperimentRunner(fault_plan=FaultPlan.load(str(plan)).to_dict())
+    assert key != faulted.key_for("fig05")
 
 
 def test_canonical_json_is_order_insensitive():

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import registry
 from repro.core.report import render_csv, render_result
+from repro.faults import FaultPlan
 from repro.obs import Tracer
 from repro.runner import ExperimentRunner, ResultCache
 
@@ -103,13 +104,14 @@ def test_version_bump_invalidates(cache, monkeypatch):
 def test_fault_plan_invalidates_and_never_aliases(cache, tmp_path):
     plan = tmp_path / "plan.json"
     plan.write_text('{"version": 1, "events": []}')
+    plan = FaultPlan.load(str(plan)).to_dict()
     fault_free = ExperimentRunner(cache).run(["table1"])
-    faulted = ExperimentRunner(cache, faults_path=str(plan)).run(["table1"])
+    faulted = ExperimentRunner(cache, fault_plan=plan).run(["table1"])
     assert not faulted[0].from_cache  # distinct key, no aliasing
     assert fault_free[0].key != faulted[0].key
     # Each variant warms its own entry.
     assert ExperimentRunner(cache).run(["table1"])[0].from_cache
-    warm = ExperimentRunner(cache, faults_path=str(plan)).run(["table1"])
+    warm = ExperimentRunner(cache, fault_plan=plan).run(["table1"])
     assert warm[0].from_cache
 
 
@@ -152,6 +154,33 @@ def test_trace_dir_bypasses_cache_and_writes_traces(cache, tmp_path):
     assert not outcomes[0].from_cache  # executed despite warm cache
     assert (trace_dir / "fig02.trace.json").is_file()
     assert cache.entries() == 1  # and nothing new was stored
+
+
+def _raise_in_driver(monkeypatch, exp_id):
+    """Make ``exp_id``'s driver raise — in this process and (via fork)
+    in pool workers."""
+    registry._ensure_loaded()
+    original = registry._REGISTRY[exp_id]
+
+    def broken():
+        raise RuntimeError(f"driver {exp_id} is broken")
+
+    broken.__module__ = original.__module__
+    monkeypatch.setitem(registry._REGISTRY, exp_id, broken)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_raising_driver_is_a_per_experiment_failure(cache, monkeypatch, jobs):
+    _raise_in_driver(monkeypatch, "fig05")
+    runner = ExperimentRunner(cache)
+    outcomes = runner.run(CHEAP, jobs=jobs)  # does NOT raise
+    by_id = {o.exp_id: o for o in outcomes}
+    assert [o.exp_id for o in outcomes] == sorted(CHEAP)
+    assert by_id["fig05"].failed and by_id["fig05"].result is None
+    assert by_id["fig05"].error == "RuntimeError: driver fig05 is broken"
+    assert not by_id["table1"].failed and by_id["table1"].result is not None
+    assert (runner.hits, runner.misses) == (0, 2)
+    assert cache.entries() == 1  # the failure is never cached
 
 
 def test_unknown_id_raises_with_known_list(cache):
