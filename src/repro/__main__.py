@@ -40,6 +40,19 @@ from repro.experiments.common import (
 )
 
 
+#: Subcommands that hand their arguments to another tool's ``main``:
+#: ``(module, help)``. The module is imported only when its subcommand
+#: runs, so ``repro list`` never pays for it.
+PASSTHROUGH = {
+    "campaign": ("repro.campaign.cli",
+                 "crash-tolerant, journaled sweep runner"),
+    "cache": ("repro.runner.cache_cli", "result-store hygiene: verify | gc"),
+    "lint": ("repro.lint.cli", "run simlint"),
+    "race": ("repro.simrace.cli", "certify drivers schedule-invariant"),
+    "perf": ("repro.prof.cli", "engine profiling: record/summary/flame/diff"),
+}
+
+
 def _shape_check(driver, result):
     module = importlib.import_module(driver.__module__)
     return module.shape_checks(result)
@@ -177,6 +190,7 @@ def cmd_all(args: argparse.Namespace) -> int:
         return 130
 
     failures = 0
+    written = 0
     report_rows = []
     for o in outcomes:
         if o.failed:
@@ -193,7 +207,7 @@ def cmd_all(args: argparse.Namespace) -> int:
                 }
             )
             continue
-        write_artifacts(o.result, out)
+        written += len(write_artifacts(o.result, out))
         check = _shape_check(get_experiment(o.exp_id), o.result)
         status = "PASS" if check.passed else "FAIL"
         if not check.passed:
@@ -210,7 +224,7 @@ def cmd_all(args: argparse.Namespace) -> int:
             }
         )
     print(
-        f"wrote {2 * len(outcomes)} files ({len(outcomes)} experiments) "
+        f"wrote {written} files ({len(outcomes)} experiments) "
         f"to {out}/"
     )
     if cache is not None:
@@ -302,40 +316,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         "execution: cached results carry no profile)",
     )
     add_faults_flag(p_all)
-    p_campaign = sub.add_parser(
-        "campaign",
-        help="crash-tolerant, journaled sweep runner "
-        "(see `repro campaign -- --help` for its options)",
-        add_help=False,
-    )
-    p_campaign.add_argument("campaign_args", nargs=argparse.REMAINDER)
-    p_cache = sub.add_parser(
-        "cache",
-        help="result-store hygiene: verify | gc "
-        "(see `repro cache -- --help` for its options)",
-        add_help=False,
-    )
-    p_cache.add_argument("cache_args", nargs=argparse.REMAINDER)
-    p_lint = sub.add_parser(
-        "lint",
-        help="run simlint (see `repro lint -- --help` for its options)",
-        add_help=False,
-    )
-    p_lint.add_argument("lint_args", nargs=argparse.REMAINDER)
-    p_race = sub.add_parser(
-        "race",
-        help="certify drivers schedule-invariant "
-        "(see `repro race -- --help` for its options)",
-        add_help=False,
-    )
-    p_race.add_argument("race_args", nargs=argparse.REMAINDER)
-    p_perf = sub.add_parser(
-        "perf",
-        help="engine profiling: record/summary/flame/diff "
-        "(see `repro perf -- --help` for its options)",
-        add_help=False,
-    )
-    p_perf.add_argument("perf_args", nargs=argparse.REMAINDER)
+    for name, (_module, help_text) in PASSTHROUGH.items():
+        p_pass = sub.add_parser(
+            name,
+            help=f"{help_text} "
+            f"(see `repro {name} -- --help` for its options)",
+            add_help=False,
+        )
+        p_pass.add_argument("passthrough_args", nargs=argparse.REMAINDER)
     p_mach = sub.add_parser("machine", help="inspect or export a machine config")
     p_mach.add_argument("name", nargs="?", default="xt4",
                         help="xt3 | xt3-dc | xt4 | xt4-qc | xt3/4")
@@ -349,41 +337,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return cmd_list(args)
     if args.command == "run":
         return cmd_run(args)
-    if args.command == "campaign":
-        from repro.campaign.cli import main as campaign_main
-
-        campaign_args = args.campaign_args
-        if campaign_args and campaign_args[0] == "--":
-            campaign_args = campaign_args[1:]
-        return campaign_main(campaign_args)
-    if args.command == "cache":
-        from repro.runner.cache_cli import main as cache_main
-
-        cache_args = args.cache_args
-        if cache_args and cache_args[0] == "--":
-            cache_args = cache_args[1:]
-        return cache_main(cache_args)
-    if args.command == "lint":
-        from repro.lint.cli import main as lint_main
-
-        lint_args = args.lint_args
-        if lint_args and lint_args[0] == "--":
-            lint_args = lint_args[1:]
-        return lint_main(lint_args)
-    if args.command == "race":
-        from repro.simrace.cli import main as race_main
-
-        race_args = args.race_args
-        if race_args and race_args[0] == "--":
-            race_args = race_args[1:]
-        return race_main(race_args)
-    if args.command == "perf":
-        from repro.prof.cli import main as perf_main
-
-        perf_args = args.perf_args
-        if perf_args and perf_args[0] == "--":
-            perf_args = perf_args[1:]
-        return perf_main(perf_args)
+    if args.command in PASSTHROUGH:
+        forwarded = args.passthrough_args
+        if forwarded and forwarded[0] == "--":
+            forwarded = forwarded[1:]
+        module = importlib.import_module(PASSTHROUGH[args.command][0])
+        return module.main(forwarded)
     if args.command == "machine":
         return cmd_machine(args)
     return cmd_all(args)

@@ -40,12 +40,11 @@ families that see through project-defined helpers:
   hot-path invariants: no per-event closures in process functions,
   ``__slots__`` / flat-heap-tuple contracts, lazy wait descriptions
   and trace labels, no import-time process-global installation, no
-  linear scans in process loops. ``repro-lint --profile DIR`` weights
-  these findings by measured phase hotness
-  (:mod:`repro.lint.profileguide`), and ``repro-lint --eligibility``
-  statically certifies each registered driver's network fast-path
-  eligibility and cross-checks it against runtime counters
-  (:mod:`repro.lint.eligibility`).
+  linear scans in process loops. Whether each driver actually takes
+  the network fast path is measured, not proven statically: the
+  runtime transfer counters
+  (:func:`repro.network.simnet.transfer_totals`) are checked per
+  driver by the test suite.
 
 Run it as ``python -m repro.lint [paths]``, ``repro-lint`` or
 ``repro lint``; suppress a deliberate violation with

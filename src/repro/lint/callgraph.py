@@ -45,7 +45,7 @@ from repro.lint.check_collectives import _collective_name
 
 #: Bump whenever summary extraction changes shape or semantics: it salts
 #: the on-disk summary/findings cache keys.
-SUMMARY_SCHEMA = 4
+SUMMARY_SCHEMA = 5
 
 
 # -- call / return descriptors ---------------------------------------------
@@ -58,8 +58,6 @@ SUMMARY_SCHEMA = 4
 #   return evidence: ("call", spec) | ("gen_helper",) | ("unit", suffix)
 #                    | ("other",)
 #   seq item:      ("coll", kind) | ("call", spec)
-#   decorator:     ("name", ident) | ("call", ident, first_str_arg_or_"")
-#   instance:      local name → target spec of its constructor call
 
 
 @dataclass
@@ -105,12 +103,6 @@ class FunctionInfo:
     calls: List[CallSite] = field(default_factory=list)
     returns: List[tuple] = field(default_factory=list)  # return evidence
     seq: List[tuple] = field(default_factory=list)  # ordered collectives/calls
-    decorators: List[tuple] = field(default_factory=list)  # decorator specs
-    #: Local-name instance types: ``x = Cls(...)`` inside the body records
-    #: ``x`` → target spec of ``Cls`` — the evidence the eligibility
-    #: certifier uses to follow ``x.method(...)`` calls on constructed
-    #: objects (see :mod:`repro.lint.eligibility`).
-    instances: Dict[str, tuple] = field(default_factory=dict)
 
     @property
     def value_params(self) -> List[str]:
@@ -130,8 +122,6 @@ class FunctionInfo:
             "calls": [c.to_dict() for c in self.calls],
             "returns": [list(r) for r in self.returns],
             "seq": [list(s) for s in self.seq],
-            "decorators": [list(d) for d in self.decorators],
-            "instances": {k: list(v) for k, v in self.instances.items()},
         }
 
     @classmethod
@@ -146,8 +136,6 @@ class FunctionInfo:
             calls=[CallSite.from_dict(c) for c in d["calls"]],
             returns=[tuple(r) for r in d["returns"]],
             seq=[tuple(s) for s in d["seq"]],
-            decorators=[tuple(x) for x in d.get("decorators", [])],
-            instances={k: tuple(v) for k, v in d.get("instances", {}).items()},
         )
 
 
@@ -216,30 +204,6 @@ def _arg_descriptor(node: ast.AST) -> tuple:
     return ("other",)
 
 
-def _decorator_spec(dec: ast.expr) -> Optional[tuple]:
-    """Serializable spec for one decorator expression."""
-    if isinstance(dec, ast.Name):
-        return ("name", dec.id)
-    if isinstance(dec, ast.Attribute):
-        return ("name", dec.attr)
-    if isinstance(dec, ast.Call):
-        func = dec.func
-        ident = None
-        if isinstance(func, ast.Name):
-            ident = func.id
-        elif isinstance(func, ast.Attribute):
-            ident = func.attr
-        if ident is None:
-            return None
-        first = ""
-        for arg in dec.args:
-            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-                first = arg.value
-            break
-        return ("call", ident, first)
-    return None
-
-
 def _call_spec(call: ast.Call, class_name: Optional[str]) -> Optional[tuple]:
     """Resolution candidate for a call target, or None if hopeless."""
     func = call.func
@@ -267,10 +231,6 @@ class _FunctionVisitor:
             is_method=class_name is not None,
             params=[a.arg for a in func.args.posonlyargs + func.args.args],
         )
-        for dec in func.decorator_list:
-            spec = _decorator_spec(dec)
-            if spec is not None:
-                self.info.decorators.append(spec)
 
     def run(self) -> FunctionInfo:
         events: List[Tuple[int, int, str, object]] = []
@@ -285,17 +245,6 @@ class _FunctionVisitor:
                 self.info.returns.append(_return_evidence(node.value, self.class_name))
             elif isinstance(node, ast.Call):
                 self._record_call(node, events)
-            elif (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and isinstance(node.value, ast.Call)
-            ):
-                # ``x = Cls(...)``: remember what ``x`` was constructed
-                # from so ``x.method(...)`` can be chased interprocedurally.
-                spec = _call_spec(node.value, self.class_name)
-                if spec is not None:
-                    self.info.instances.setdefault(node.targets[0].id, spec)
             stack.extend(list(ast.iter_child_nodes(node))[::-1])
         events.sort(key=lambda e: (e[0], e[1]))
         self.info.seq = [item for _, _, _, item in events]  # type: ignore[misc]

@@ -32,8 +32,9 @@ time:
 
 All five are *program* rules: SL901/SL903/SL905 need the interprocedural
 process classification, SL904 needs the module's import alias table.
-``repro-lint --profile DIR`` re-ranks this family's findings by measured
-phase hotness (:mod:`repro.lint.profileguide`).
+Whether the fast path actually fires at run time is checked on the
+drivers themselves through :func:`repro.network.simnet.transfer_totals`
+(``tests/lint/test_eligibility.py``).
 """
 
 from __future__ import annotations
@@ -63,19 +64,6 @@ INSTALLER_TARGETS = frozenset(
         "repro.prof.profiler.installed_profiler",
         "repro.prof.install_profiler",
         "repro.prof.installed_profiler",
-    }
-)
-
-#: The same installers as whole-program function keys (module:qualname) —
-#: the eligibility certifier's "blocked" evidence.
-INSTALLER_KEYS = frozenset(
-    {
-        "repro.obs.tracer:install",
-        "repro.obs.tracer:installed",
-        "repro.faults.plan:install_plan",
-        "repro.faults.plan:installed_plan",
-        "repro.prof.profiler:install_profiler",
-        "repro.prof.profiler:installed_profiler",
     }
 )
 

@@ -63,8 +63,8 @@ def set_hybrid_default(enabled: bool) -> bool:
 
 #: Process-wide transfer totals summed over every :class:`SimNetwork`
 #: since the last reset. Networks are constructed deep inside driver
-#: sweeps (one per ``MPIJob``), so per-driver fast-path eligibility
-#: checks read these aggregates instead of chasing instances.
+#: sweeps (one per ``MPIJob``), so the runner reads these aggregates
+#: per driver (``RunOutcome.net``) instead of chasing instances.
 _FAST_TRANSFERS = 0
 _TRANSFERS = 0
 

@@ -1,8 +1,10 @@
 """Tests for the CLI and the ASCII plot renderer."""
 
+import importlib
+
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import PASSTHROUGH, main
 from repro.core import ExperimentResult, registry
 from repro.core.report import render_ascii_plot
 
@@ -94,6 +96,16 @@ def test_cli_all_only_unknown_experiment(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "unknown experiment 'fig99'" in out and "known:" in out
     assert not (tmp_path / "o" / "fig99.csv").exists()
+
+
+@pytest.mark.parametrize("command", sorted(PASSTHROUGH))
+def test_passthrough_forwards_args_unchanged(command, monkeypatch):
+    forwarded = []
+    module = importlib.import_module(PASSTHROUGH[command][0])
+    monkeypatch.setattr(module, "main", lambda argv: forwarded.append(argv) or 7)
+    # Only the leading ``--`` separator is consumed.
+    assert main([command, "--", "--flag", "value", "--", "tail"]) == 7
+    assert forwarded == [["--flag", "value", "--", "tail"]]
 
 
 def test_ascii_plot_renders_series():

@@ -1,9 +1,8 @@
-"""Profile-guided weighting: fractions, tiers, deterministic re-rank."""
+"""SARIF results stay unweighted: one error level, no properties block,
+byte-identical when the same findings are rendered again."""
 
 import json
-from pathlib import Path
 
-from repro.lint import profileguide as pg
 from repro.lint.core import Finding
 from repro.lint.formats import render_sarif
 
@@ -13,140 +12,9 @@ def _finding(rule, line, path="src/x.py"):
                    message=f"{rule} seeded")
 
 
-HOT_FRACTIONS = {
-    "engine.queue": 0.5,
-    "proc.delay": 0.3,
-    "event.wake": 0.1,
-    "bench.host": 0.1,
-}
-
-
-# -- weights and tiers --------------------------------------------------------
-
-def test_sl904_is_always_weight_one():
-    assert pg.weight_for("SL904", {}) == 1.0
-    assert pg.weight_for("SL904", HOT_FRACTIONS) == 1.0
-
-
-def test_affinity_sums_matching_phase_fractions():
-    assert pg.weight_for("SL901", HOT_FRACTIONS) == 0.5  # engine.queue
-    assert pg.weight_for("SL902", HOT_FRACTIONS) == 0.5
-    # proc. prefix (proc.delay) + event.wake
-    assert pg.weight_for("SL903", HOT_FRACTIONS) == 0.4
-    assert pg.weight_for("SL905", HOT_FRACTIONS) == 0.4
-    assert pg.weight_for("SL101", HOT_FRACTIONS) is None  # non-perf rule
-
-
-def test_tier_thresholds():
-    assert pg.tier_for(0.5) == "hot"
-    assert pg.tier_for(0.20) == "hot"
-    assert pg.tier_for(0.19) == "warm"
-    assert pg.tier_for(0.05) == "warm"
-    assert pg.tier_for(0.049) == "note"
-
-
-def test_cold_phases_demote_to_note():
-    cold = {"engine.queue": 0.01, "bench.host": 0.99}
-    weighted = pg.apply_profile([_finding("SL902", 3)], cold)
-    assert weighted[0].tier == "note"
-    assert weighted[0].weight == 0.01
-
-
-# -- fraction loading ---------------------------------------------------------
-
-def test_load_phase_fractions_from_profile_dir(tmp_path):
-    doc = {
-        "schema": 1,
-        "phases": {
-            "engine.queue": {"self_ns": 750_000},
-            "proc.delay": {"self_ns": 250_000},
-        },
-    }
-    (tmp_path / "fig22.profile.json").write_text(json.dumps(doc))
-    fractions = pg.load_phase_fractions(str(tmp_path), bench_path=None)
-    assert fractions == {"engine.queue": 0.75, "proc.delay": 0.25}
-
-
-def test_load_phase_fractions_merges_bench_table(tmp_path):
-    bench = {
-        "schema": 2,
-        "benchmarks": {
-            "b": {"best_s": 1.0, "phases": {"engine.queue": 1.0,
-                                            "event.wake": 1.0}},
-        },
-    }
-    bench_path = tmp_path / "BENCH_simulator.json"
-    bench_path.write_text(json.dumps(bench))
-    fractions = pg.load_phase_fractions(None, bench_path=str(bench_path))
-    assert fractions == {"engine.queue": 0.5, "event.wake": 0.5}
-
-
-def test_load_phase_fractions_empty_when_no_sources(tmp_path):
-    assert pg.load_phase_fractions(str(tmp_path), bench_path=None) == {}
-    # wrong schema is ignored, not an error
-    (tmp_path / "BENCH_simulator.json").write_text(json.dumps({"schema": 1}))
-    assert pg.load_phase_fractions(
-        None, bench_path=str(tmp_path / "BENCH_simulator.json")
-    ) == {}
-
-
-def test_checked_in_bench_table_is_loadable():
-    root = Path(__file__).parents[2]
-    fractions = pg.load_phase_fractions(None, bench_path=str(root / pg.DEFAULT_BENCH))
-    assert fractions and abs(sum(fractions.values()) - 1.0) < 1e-9
-
-
-# -- re-ranking ---------------------------------------------------------------
-
-def test_apply_profile_reranks_hottest_first():
-    findings = [
-        _finding("SL903", 1),   # 0.4
-        _finding("SL902", 2),   # 0.5
-        _finding("SL904", 3),   # 1.0
-        Finding(rule="SL101", family="yield-from", path="src/x.py",
-                line=4, col=0, message="not perf"),
-    ]
-    ranked = pg.apply_profile(findings, HOT_FRACTIONS)
-    assert [f.rule for f in ranked] == ["SL904", "SL902", "SL903", "SL101"]
-    assert ranked[0].weight == 1.0 and ranked[0].tier == "hot"
-    assert ranked[-1].weight is None  # non-perf rules pass through
-
-
-def test_apply_profile_without_data_is_identity():
-    findings = [_finding("SL902", 2), _finding("SL904", 1)]
-    assert pg.apply_profile(findings, {}) == findings
-
-
-def test_apply_profile_is_deterministic():
-    findings = [_finding("SL90%d" % d, 10 - d) for d in (1, 2, 3, 4, 5)]
-    once = pg.apply_profile(findings, HOT_FRACTIONS)
-    twice = pg.apply_profile(findings, HOT_FRACTIONS)
-    assert [(f.rule, f.weight, f.tier) for f in once] == [
-        (f.rule, f.weight, f.tier) for f in twice
-    ]
-
-
-# -- SARIF carries the weight, byte-stably ------------------------------------
-
-def test_sarif_levels_follow_tiers_and_carry_weight():
-    ranked = pg.apply_profile(
-        [_finding("SL904", 1), _finding("SL902", 2), _finding("SL903", 3)],
-        {"engine.queue": 0.06, "bench.host": 0.94},
-    )
-    doc = json.loads(render_sarif(ranked))
-    results = doc["runs"][0]["results"]
-    by_rule = {r["ruleId"]: r for r in results}
-    assert by_rule["SL904"]["level"] == "error"      # hot
-    assert by_rule["SL902"]["level"] == "warning"    # warm (0.06)
-    assert by_rule["SL903"]["level"] == "note"       # cold
-    assert by_rule["SL902"]["properties"] == {"weight": 0.06, "tier": "warm"}
-
-
 def test_sarif_output_is_byte_stable():
     findings = [_finding("SL90%d" % d, d) for d in (1, 2, 3, 4, 5)]
-    a = render_sarif(pg.apply_profile(findings, HOT_FRACTIONS))
-    b = render_sarif(pg.apply_profile(list(findings), dict(HOT_FRACTIONS)))
-    assert a == b
+    assert render_sarif(findings) == render_sarif(list(findings))
 
 
 def test_unweighted_sarif_keeps_error_level():

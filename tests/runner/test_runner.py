@@ -183,6 +183,19 @@ def test_raising_driver_is_a_per_experiment_failure(cache, monkeypatch, jobs):
     assert cache.entries() == 1  # the failure is never cached
 
 
+def test_cli_all_counts_only_the_files_it_wrote(monkeypatch, tmp_path, capsys):
+    from repro.__main__ import main
+
+    _raise_in_driver(monkeypatch, "fig05")
+    out = tmp_path / "out"
+    assert main(["all", "--only", "fig05,table1", "--no-cache",
+                 "--out", str(out)]) == 1
+    printed = capsys.readouterr().out
+    assert "[FAIL] fig05" in printed
+    assert sorted(p.name for p in out.iterdir()) == ["table1.csv", "table1.txt"]
+    assert f"wrote 2 files (2 experiments) to {out}/" in printed
+
+
 def test_unknown_id_raises_with_known_list(cache):
     with pytest.raises(registry.UnknownExperimentError, match="known:"):
         ExperimentRunner(cache).run(["fig99"])
