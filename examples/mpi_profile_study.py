@@ -4,8 +4,8 @@
 Reproduces the *method* behind the paper's Figure-16 analysis ("70% of
 the difference in the physics ... is due to ... the MPI_Alltoallv
 calls"): run a CAM-physics-shaped step on the simulated MPI in SN and VN
-modes with the mpiP-style profiler, and attribute the mode difference to
-operations.
+modes under a Tracer, and attribute the mode difference to operations
+from the ``mpi.<op>`` spans every rank records.
 
 Also writes a Perfetto trace of the VN run (mpi_profile_study.trace.json
 by default — open it at https://ui.perfetto.dev): the same attribution,
@@ -19,9 +19,9 @@ from typing import Optional
 
 from repro.core.report import render_table
 from repro.machine import xt4
-from repro.mpi import MPIJob, profiled_job_run
-from repro.mpi.profiler import render_timeline
+from repro.mpi import MPIJob
 from repro.obs import Tracer, write_chrome_trace
+from repro.obs.analyze import mpi_op_rows, render_timeline
 
 
 def physics_step(comm):
@@ -40,20 +40,20 @@ def main(trace_out: Optional[str] = "mpi_profile_study.trace.json") -> None:
     ntasks = 16
     profiles = {}
     for mode in ("SN", "VN"):
-        tracer = None
-        if mode == "VN" and trace_out:
-            tracer = Tracer(
-                meta={"example": "mpi_profile_study", "mode": mode}
-            )
-        job = MPIJob(xt4(mode), ntasks, tracer=tracer)
-        result, prof = profiled_job_run(job, physics_step, trace=True)
-        profiles[mode] = (result, prof[0])
+        tracer = Tracer(meta={"example": "mpi_profile_study", "mode": mode})
+        result = MPIJob(xt4(mode), ntasks, tracer=tracer).run(physics_step)
+        # Rank 0's per-op rows, keyed by op.
+        prof = {
+            row["op"]: row for row in mpi_op_rows(tracer.spans)
+            if row["rank"] == 0
+        }
+        profiles[mode] = (result, prof)
         if mode == "VN":
             print(f"\n{mode} execution timeline (first 8 ranks):")
-            subset = {r: prof[r] for r in range(min(8, ntasks))}
-            print(render_timeline(subset, result.elapsed_s, width=64))
+            print(render_timeline(tracer.spans, result.elapsed_s, width=64,
+                                  ranks=range(min(8, ntasks))))
             print()
-            if tracer is not None:
+            if trace_out:
                 write_chrome_trace(tracer, trace_out)
                 print(
                     f"wrote {trace_out} "
@@ -64,15 +64,16 @@ def main(trace_out: Optional[str] = "mpi_profile_study.trace.json") -> None:
     for mode, (result, prof) in profiles.items():
         row = {"mode": mode, "total ms": round(result.elapsed_s * 1e3, 3)}
         for op in ("alltoallv", "allreduce", "barrier"):
-            row[f"{op} ms"] = round(prof.ops[op].time_s * 1e3, 3)
-        row["MPI fraction"] = round(prof.total_time_s / result.elapsed_s, 3)
+            row[f"{op} ms"] = round(prof[op]["time_s"] * 1e3, 3)
+        mpi_s = sum(r["time_s"] for r in prof.values())
+        row["MPI fraction"] = round(mpi_s / result.elapsed_s, 3)
         rows.append(row)
     print(render_table(rows, title=f"Physics-shaped step, {ntasks} tasks, rank 0"))
 
     sn_res, sn_prof = profiles["SN"]
     vn_res, vn_prof = profiles["VN"]
     gap = vn_res.elapsed_s - sn_res.elapsed_s
-    a2av_gap = vn_prof.ops["alltoallv"].time_s - sn_prof.ops["alltoallv"].time_s
+    a2av_gap = vn_prof["alltoallv"]["time_s"] - sn_prof["alltoallv"]["time_s"]
     print(
         f"SN -> VN slowdown: {gap*1e3:.3f} ms, of which MPI_Alltoallv "
         f"accounts for {a2av_gap / gap:.0%} at this 16-task scale.\n"

@@ -14,6 +14,7 @@ Usage::
     python -m repro lint src/ tests/                     # simlint passthrough
     python -m repro race fig08 -k 4                      # schedule-race certify
     python -m repro perf record --exp fig22              # engine profiling
+    python -m repro trace summary fig02.trace.json       # trace analysis
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ PASSTHROUGH = {
     "lint": ("repro.lint.cli", "run simlint"),
     "race": ("repro.simrace.cli", "certify drivers schedule-invariant"),
     "perf": ("repro.prof.cli", "engine profiling: record/summary/flame/diff"),
+    "trace": ("repro.obs.cli", "summarise and compare simulation traces"),
 }
 
 

@@ -11,8 +11,8 @@ once during each model simulation timestep"):
 3. **physics** — column work with day/night imbalance, load-balanced via
    Alltoallv (:mod:`~repro.apps.cam.physics` weights).
 
-Run under the profiler, the step yields the paper's Figure-16-style
-phase/operation breakdown from an actual execution.
+Run under a :class:`~repro.obs.Tracer`, the step yields the paper's
+Figure-16-style phase/operation breakdown from an actual execution.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from repro.apps.cam.dycore import MiniDycore
 from repro.apps.cam.physics import balance_columns, column_weights
 from repro.machine.specs import Machine
 from repro.mpi.job import JobResult, MPIJob
-from repro.mpi.profiler import MPIProfile, profiled_job_run
+from repro.obs import Tracer
+from repro.obs.analyze import mpi_op_rows
 
 #: CAL (mini scale): flops charged per column per physics step.
 MINI_PHYS_FLOPS_PER_COLUMN = 2.0e5
@@ -49,9 +50,10 @@ class MiniCAM:
 
     def run(
         self, q0: np.ndarray, nsteps: int = 2
-    ) -> Tuple[np.ndarray, JobResult, Dict[int, MPIProfile]]:
+    ) -> Tuple[np.ndarray, JobResult, Tracer]:
         """Advance ``nsteps`` full timesteps; returns
-        ``(tracer field, JobResult, per-rank MPI profiles)``."""
+        ``(advected tracer field, JobResult, Tracer)`` — the Tracer
+        holds every rank's ``mpi.<op>`` spans."""
         if q0.shape != (self.nlat, self.nlon):
             raise ValueError("initial field shape mismatch")
         dyc = MiniDycore(nlat=self.nlat, nlon=self.nlon)
@@ -108,15 +110,14 @@ class MiniCAM:
             gathered = yield from comm.gather(block, root=0)
             return np.vstack(gathered) if comm.rank == 0 else None
 
-        job = MPIJob(self.machine, self.ntasks)
-        result, profiles = profiled_job_run(job, main)
-        return result.returns[0], result, profiles
+        tracer = Tracer()
+        result = MPIJob(self.machine, self.ntasks, tracer=tracer).run(main)
+        return result.returns[0], result, tracer
 
     def mpi_breakdown(self, q0: np.ndarray, nsteps: int = 2) -> Dict[str, float]:
         """Aggregate MPI seconds by operation across ranks (Fig. 16 style)."""
-        _, _, profiles = self.run(q0, nsteps)
+        _, _, tracer = self.run(q0, nsteps)
         totals: Dict[str, float] = {}
-        for p in profiles.values():
-            for op, stats in p.ops.items():
-                totals[op] = totals.get(op, 0.0) + stats.time_s
+        for row in mpi_op_rows(tracer.spans):
+            totals[row["op"]] = totals.get(row["op"], 0.0) + row["time_s"]
         return totals

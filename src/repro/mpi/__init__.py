@@ -29,7 +29,6 @@ from repro.mpi.comm import ANY_SOURCE, ANY_TAG, Comm
 from repro.mpi.costmodels import CollectiveCostModel
 from repro.mpi.datatypes import payload_nbytes, reduce_values
 from repro.mpi.job import JobFailedError, JobResult, MPIJob
-from repro.mpi.profiler import MPIProfile, ProfiledComm, profiled_job_run
 from repro.mpi.request import Request
 from repro.mpi.subcomm import SubComm
 
@@ -41,11 +40,8 @@ __all__ = [
     "JobFailedError",
     "JobResult",
     "MPIJob",
-    "MPIProfile",
-    "ProfiledComm",
     "Request",
     "SubComm",
     "payload_nbytes",
-    "profiled_job_run",
     "reduce_values",
 ]

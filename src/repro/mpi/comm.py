@@ -83,10 +83,9 @@ class Comm:
         if not 0 <= peer < self.size:
             raise ValueError(f"rank {peer} outside communicator of size {self.size}")
 
-    def isend(
-        self, obj: Any, dest: int, tag: int = 0, nbytes: Optional[int] = None
-    ) -> Request:
-        """Start a nonblocking send; returns a :class:`Request`."""
+    def _post(self, obj: Any, dest: int, tag: Any, nbytes: Optional[int]):
+        """Launch the transfer of ``obj`` to ``dest``; returns the event
+        that fires once it is delivered."""
         self._check_peer(dest)
         n = payload_nbytes(obj) if nbytes is None else int(nbytes)
         names = self._send_names.get(dest)
@@ -108,9 +107,9 @@ class Comm:
             name=names[1],
             key=names[2],
         )
-        return Request(done)
+        return done
 
-    def _transfer(self, obj: Any, dest: int, tag: int, nbytes: int, done):
+    def _transfer(self, obj: Any, dest: int, tag: Any, nbytes: int, done):
         job = self.job
         src_node = job.placement.node_of(self.rank)
         dst_node = job.placement.node_of(dest)
@@ -119,11 +118,16 @@ class Comm:
         job.comms[dest]._inbox.put(_Msg(self.rank, tag, obj))
         done.succeed(None)
 
-    def send(self, obj: Any, dest: int, tag: int = 0, nbytes: Optional[int] = None):
-        """Blocking send: returns once the message is fully injected and
-        delivered (conservative synchronous semantics)."""
-        req = self.isend(obj, dest, tag, nbytes)
-        yield req.event
+    def _get(self, source: int, tag: int):
+        """The inbox get-event matching ``(source, tag)``; its value is
+        the :class:`_Msg`."""
+        if source != ANY_SOURCE:
+            self._check_peer(source)
+        return self._inbox.get(self._match(source, tag))
+
+    def _status(self, msg: _Msg) -> tuple:
+        """``(payload, source, tag)`` of a received message."""
+        return msg.obj, msg.source, msg.tag
 
     def _match(self, source: int, tag: int) -> Callable[[_Msg], bool]:
         matcher = self._matchers.get((source, tag))
@@ -133,28 +137,65 @@ class Comm:
             ) and (tag == ANY_TAG or m.tag == tag)
         return matcher
 
+    def _trace(
+        self, op: str, t0: float, obj: Any = None, nbytes: Optional[int] = None
+    ) -> None:
+        """Record one ``mpi.<op>`` span ``[t0, now]`` on this rank's world
+        track, tagged with the ``bytes`` of ``obj`` (or ``nbytes`` when
+        given). Call sites check ``sim.tracer`` first, so untraced runs
+        pay neither this call nor the payload sizing."""
+        sim = self.job.sim
+        tracer = sim.tracer
+        if tracer is not None:
+            tracer.complete(
+                f"rank{self._world_rank_of(self.rank)}", f"mpi.{op}", t0,
+                sim.now, bytes=payload_nbytes(obj) if nbytes is None else nbytes,
+            )
+
+    def isend(
+        self, obj: Any, dest: int, tag: int = 0, nbytes: Optional[int] = None
+    ) -> Request:
+        """Start a nonblocking send; returns a :class:`Request`.
+
+        Traced as a zero-length ``mpi.isend``: the time accrues on
+        whatever waits for the request."""
+        done = self._post(obj, dest, tag, nbytes)
+        if self.job.sim.tracer is not None:
+            self._trace("isend", self.job.sim.now, obj, nbytes)
+        return Request(done)
+
+    def send(self, obj: Any, dest: int, tag: int = 0, nbytes: Optional[int] = None):
+        """Blocking send: returns once the message is fully injected and
+        delivered (conservative synchronous semantics)."""
+        t0 = self.job.sim.now
+        yield self._post(obj, dest, tag, nbytes)
+        if self.job.sim.tracer is not None:
+            self._trace("send", t0, obj, nbytes)
+
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         """Start a nonblocking receive; the request's value is the payload."""
-        if source != ANY_SOURCE:
-            self._check_peer(source)
-        inner = self._inbox.get(self._match(source, tag))
+        inner = self._get(source, tag)
         outer = self.job.sim.event(name=f"irecv @{self.rank}")
         inner.add_callback(lambda e: outer.succeed(e.value.obj))
+        if self.job.sim.tracer is not None:
+            self._trace("irecv", self.job.sim.now)
         return Request(outer)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Blocking receive; returns the payload object."""
-        if source != ANY_SOURCE:
-            self._check_peer(source)
-        msg = yield self._inbox.get(self._match(source, tag))
+        t0 = self.job.sim.now
+        msg = yield self._get(source, tag)
+        if self.job.sim.tracer is not None:
+            self._trace("recv", t0)
         return msg.obj
 
     def recv_with_status(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Blocking receive; returns ``(payload, source, tag)``."""
-        if source != ANY_SOURCE:
-            self._check_peer(source)
-        msg = yield self._inbox.get(self._match(source, tag))
-        return msg.obj, msg.source, msg.tag
+        t0 = self.job.sim.now
+        msg = yield self._get(source, tag)
+        if self.job.sim.tracer is not None:
+            self._trace("recv", t0)
+        return self._status(msg)
 
     def sendrecv(
         self,
@@ -165,10 +206,13 @@ class Comm:
         nbytes: Optional[int] = None,
     ):
         """Simultaneous exchange; returns the received payload."""
-        req = self.isend(obj, dest, tag, nbytes)
-        data = yield from self.recv(dest if source is None else source, tag)
-        yield req.event
-        return data
+        t0 = self.job.sim.now
+        done = self._post(obj, dest, tag, nbytes)
+        msg = yield self._get(dest if source is None else source, tag)
+        yield done
+        if self.job.sim.tracer is not None:
+            self._trace("sendrecv", t0, obj, nbytes)
+        return msg.obj
 
     # -- collectives ----------------------------------------------------------------
     def _collective(
@@ -178,6 +222,10 @@ class Comm:
         combine: Callable[[Dict[int, Any]], Any],
         cost_fn: Callable[[Dict[int, Any]], float],
     ):
+        """Rendezvous collective ``kind`` over the group; traced as one
+        ``mpi.<kind>`` span tagged with this rank's contribution bytes."""
+        sim = self.job.sim
+        t0 = sim.now
         seq = self._coll_seq
         self._coll_seq += 1
         ctx = self.job.collective_ctx(self._group_key, seq, kind, self.size)
@@ -188,6 +236,8 @@ class Comm:
             cost = cost_fn(ctx.values)
             self.job.sim.schedule(cost, ctx.fire)
         result = yield ctx.event
+        if sim.tracer is not None:
+            self._trace(kind, t0, value)
         return result
 
     def dup(self):
@@ -236,7 +286,7 @@ class Comm:
         self._check_peer(root)
         result = yield from self._collective(
             "bcast",
-            obj if self.rank == root else None,
+            obj,
             lambda v: v[root],
             lambda v: self._costs().bcast_s(payload_nbytes(v[root])),
         )
@@ -296,7 +346,7 @@ class Comm:
                 raise ValueError("root must supply exactly one value per rank")
         result = yield from self._collective(
             "scatter",
-            list(values) if self.rank == root else None,
+            list(values) if self.rank == root else values,
             lambda v: v[root],
             lambda v: self._costs().scatter_s(
                 max(payload_nbytes(x) for x in v[root])

@@ -15,7 +15,6 @@ from typing import Any, Optional
 
 from repro.mpi.comm import ANY_SOURCE, ANY_TAG, Comm
 from repro.mpi.costmodels import CollectiveCostModel
-from repro.mpi.request import Request
 
 
 class SubComm(Comm):
@@ -55,15 +54,18 @@ class SubComm(Comm):
     def _scoped(self, tag: int) -> tuple:
         return ("subcomm", self._group_key, tag)
 
-    def isend(
-        self, obj: Any, dest: int, tag: int = 0, nbytes: Optional[int] = None
-    ) -> Request:
+    def _post(self, obj: Any, dest: int, tag: Any, nbytes: Optional[int]):
         self._check_peer(dest)
-        return self._world_comm.isend(
-            obj, self._ranks[dest], tag=self._scoped(tag), nbytes=nbytes
+        return self._world_comm._post(
+            obj, self._ranks[dest], self._scoped(tag), nbytes
         )
 
-    def _group_match(self, wsource: Optional[int], tag: int):
+    def _get(self, source: int, tag: int):
+        if source != ANY_SOURCE:
+            self._check_peer(source)
+            wsource: Optional[int] = self._ranks[source]
+        else:
+            wsource = None
         key = ("subcomm", self._group_key)
 
         def match(m) -> bool:
@@ -73,31 +75,12 @@ class SubComm(Comm):
                 return False
             return tag == ANY_TAG or m.tag[2] == tag
 
-        return match
+        return self._world_comm._inbox.get(match)
 
-    def recv_with_status(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        if source != ANY_SOURCE:
-            self._check_peer(source)
-            wsource: Optional[int] = self._ranks[source]
-        else:
-            wsource = None
-        msg = yield self._world_comm._inbox.get(self._group_match(wsource, tag))
+    def _status(self, msg) -> tuple:
         return msg.obj, self._ranks.index(msg.source), msg.tag[2]
 
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        obj, _, _ = yield from self.recv_with_status(source, tag)
-        return obj
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
-        if source != ANY_SOURCE:
-            self._check_peer(source)
-            wsource: Optional[int] = self._ranks[source]
-        else:
-            wsource = None
-        inner = self._world_comm._inbox.get(self._group_match(wsource, tag))
-        outer = self.job.sim.event(name=f"irecv @group{self.rank}")
-        inner.add_callback(lambda e: outer.succeed(e.value.obj))
-        return Request(outer)
-
-    # send / sendrecv / all collectives / split are inherited: they are
-    # written against isend/recv/_collective and the group plumbing above.
+    # Every public operation — send/recv/isend/irecv/sendrecv, the
+    # collectives and split — is inherited: each is written against
+    # _post/_get/_status/_collective and the group plumbing above, so
+    # it also records its ``mpi.<op>`` span on the world rank's track.

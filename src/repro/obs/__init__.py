@@ -13,9 +13,12 @@ first-class output of every simulation:
   `Perfetto <https://ui.perfetto.dev>`_; one track per rank, link,
   resource and controller) and a compact JSONL format, plus the loader.
 * :mod:`repro.obs.analyze` — span self-time rankings, counter
-  statistics, link hotspots, and trace-vs-trace diffs.
-* ``repro-trace`` (:mod:`repro.obs.cli`, also ``python -m repro.obs``) —
-  the analysis front-end over exported traces.
+  statistics, link hotspots, trace-vs-trace diffs, and the per-rank
+  MPI views (:func:`~repro.obs.analyze.mpi_op_rows`,
+  :func:`~repro.obs.analyze.render_timeline`) over the ``mpi.<op>``
+  spans every traced :class:`~repro.mpi.comm.Comm` records.
+* ``repro trace`` (:mod:`repro.obs.cli`) — the analysis front-end over
+  exported traces.
 
 See docs/OBSERVABILITY.md for the counter naming scheme
 (``layer.object.metric``) and a Perfetto walkthrough.

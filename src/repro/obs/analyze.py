@@ -1,17 +1,18 @@
-"""Trace analysis: span self-time, counter statistics, hotspots, diffs.
+"""Trace analysis: span self-time, counter statistics, hotspots, diffs,
+and the per-rank MPI views.
 
 Everything here consumes the neutral :class:`~repro.obs.export.TraceData`
-form and returns plain row dicts, ready for
-:func:`repro.core.report.render_table` — the same rendering path the
-experiment reports use, so ``repro-trace`` output reads like the rest of
-the repository.
+form (or a live :class:`~repro.obs.tracer.Tracer`'s spans) and returns
+plain row dicts, ready for :func:`repro.core.report.render_table` — the
+same rendering path the experiment reports use, so ``repro trace``
+output reads like the rest of the repository.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.obs.export import TraceData
 from repro.obs.tracer import Span
@@ -22,6 +23,8 @@ __all__ = [
     "diff_counter_rows",
     "diff_span_rows",
     "link_hotspot_rows",
+    "mpi_op_rows",
+    "render_timeline",
     "span_aggregate",
     "span_self_times",
     "span_summary_rows",
@@ -237,3 +240,75 @@ def diff_counter_rows(
     if top is not None:
         rows = rows[:top]
     return rows
+
+
+def _mpi_spans(spans: Iterable[Span]) -> Iterator[Tuple[int, str, Span]]:
+    """``(rank, op, span)`` for every ``mpi.<op>`` span on a ``rank<r>``
+    track — the spans :class:`~repro.mpi.comm.Comm` records."""
+    for span in spans:
+        if span.name.startswith("mpi.") and span.track.startswith("rank"):
+            yield int(span.track[4:]), span.name[4:], span
+
+
+def mpi_op_rows(spans: Iterable[Span]) -> List[dict]:
+    """Per-rank, per-operation MPI ``calls``/``time_s``/``bytes`` rows,
+    sorted by ``(rank, op)`` — the mpiP-style breakdown behind the
+    paper's "70% ... is due to ... the MPI_Alltoallv calls".
+
+    ``isend``/``irecv`` are zero-length spans, so they add calls and
+    bytes but no time: a nonblocking operation's time accrues on
+    whatever waits for it.
+    """
+    stats: Dict[Tuple[int, str], List[float]] = {}
+    for rank, op, span in _mpi_spans(spans):
+        entry = stats.setdefault((rank, op), [0, 0.0, 0.0])
+        entry[0] += 1
+        entry[1] += span.duration_s
+        entry[2] += span.args.get("bytes", 0)
+    return [
+        {"rank": rank, "op": op, "calls": calls, "time_s": time_s,
+         "bytes": nbytes}
+        for (rank, op), (calls, time_s, nbytes) in sorted(stats.items())
+    ]
+
+
+#: Gantt marker per operation; ``isend``/``irecv`` (instants) have none.
+_OP_CHARS = {
+    "send": "s", "recv": "r", "sendrecv": "x", "barrier": "|",
+    "bcast": "b", "reduce": "+", "allreduce": "A", "gather": "g",
+    "allgather": "G", "scatter": "c", "alltoall": "t", "alltoallv": "T",
+    "reduce_scatter": "R", "scan": "n", "exscan": "n", "split": "S",
+}
+
+
+def render_timeline(
+    spans: Iterable[Span],
+    total_s: float,
+    width: int = 72,
+    ranks: Optional[Iterable[int]] = None,
+) -> str:
+    """Text Gantt chart of each rank's MPI activity ('.' = outside MPI).
+
+    Each column spans ``total_s / width`` simulated seconds and shows the
+    marker of the operation drawn last over it. ``ranks`` selects the
+    rows (default: every rank with an ``mpi.*`` span).
+    """
+    if total_s <= 0:
+        raise ValueError("total_s must be positive")
+    by_rank: Dict[int, List[Tuple[str, Span]]] = {}
+    for rank, op, span in _mpi_spans(spans):
+        if op in _OP_CHARS:
+            by_rank.setdefault(rank, []).append((_OP_CHARS[op], span))
+    lines = [f"MPI timeline: {width} cols x {total_s * 1e3:.3f} ms"]
+    for rank in sorted(by_rank) if ranks is None else ranks:
+        row = ["."] * width
+        for mark, span in by_rank.get(rank, ()):
+            c0 = int(span.t0 / total_s * width)
+            c1 = max(c0 + 1, int(span.t1 / total_s * width) + 1)
+            for col in range(c0, min(c1, width)):
+                row[col] = mark
+        lines.append(f"rank {rank:4d} {''.join(row)}")
+    lines.append("  ".join(
+        f"{v}={k}" for k, v in sorted(_OP_CHARS.items(), key=lambda kv: kv[1])
+    ))
+    return "\n".join(lines)

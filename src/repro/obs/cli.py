@@ -1,11 +1,10 @@
-"""``repro-trace``: summarise and compare simulation traces.
+"""``repro trace``: summarise and compare simulation traces.
 
 Usage::
 
-    repro-trace summary TRACE [--top K] [--counters PREFIX]
-    repro-trace summary TRACE --diff OTHER [--top K]
-    repro-trace diff A B [--top K] [--fail-over PCT]
-    python -m repro.obs summary results/s3d.trace.json
+    python -m repro trace summary TRACE [--top K] [--counters PREFIX]
+    python -m repro trace summary TRACE --diff OTHER [--top K]
+    python -m repro trace diff A B [--top K] [--fail-over PCT]
 
 ``summary`` prints the top-k spans by self time, the link-hotspot table
 and per-counter statistics; ``--diff``/``diff`` compares two traces the
@@ -82,7 +81,7 @@ def render_diff(a: TraceData, b: TraceData, top: int = 10) -> str:
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro-trace",
+        prog="repro trace",
         description="Summarise and compare repro simulation traces "
         "(Chrome/Perfetto JSON or repro-obs JSONL).",
     )
@@ -156,7 +155,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     return 1
                 print(f"ok: no counter drifted beyond {args.fail_over:g}%")
     except (OSError, ValueError) as exc:
-        print(f"repro-trace: {exc}", file=sys.stderr)
+        print(f"repro trace: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -12,7 +12,7 @@ run serializes byte-for-byte identically):
   to grep.
 
 :func:`load_trace` reads either format back into a neutral
-:class:`TraceData`, which is what the ``repro-trace`` analysis CLI
+:class:`TraceData`, which is what the ``repro trace`` analysis CLI
 consumes.
 """
 

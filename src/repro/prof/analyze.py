@@ -2,7 +2,7 @@
 
 Consumes loaded ``.profile.json`` dicts (see :mod:`repro.prof.export`)
 and returns plain row dicts for :func:`repro.core.report.render_table` —
-the same rendering path ``repro-trace`` and the experiment reports use.
+the same rendering path ``repro trace`` and the experiment reports use.
 """
 
 from __future__ import annotations

@@ -1,16 +1,32 @@
-"""Tests for the MPI profiler (mpiP-style breakdowns of DES runs)."""
+"""Tests for the per-rank MPI breakdown (mpiP-style) of traced DES runs:
+:class:`~repro.mpi.comm.Comm` records ``mpi.<op>`` spans and
+:func:`repro.obs.analyze.mpi_op_rows` aggregates them."""
 
 import numpy as np
 import pytest
 
 from repro.machine import xt4
-from repro.mpi import MPIJob, profiled_job_run
-from repro.mpi.profiler import MPIProfile
+from repro.mpi import MPIJob
+from repro.obs import Tracer
+from repro.obs.analyze import mpi_op_rows
 
 
-def run_profiled(machine, ntasks, fn, *args):
-    job = MPIJob(machine, ntasks)
-    return profiled_job_run(job, fn, *args)
+def run_traced(machine, ntasks, fn, *args):
+    """Run ``fn`` traced; returns ``(JobResult, {(rank, op): row})``."""
+    tracer = Tracer()
+    result = MPIJob(machine, ntasks, tracer=tracer).run(fn, *args)
+    ops = {(row["rank"], row["op"]): row for row in mpi_op_rows(tracer.spans)}
+    return result, ops
+
+
+def _rank_rows(ops, rank):
+    return [row for (r, _op), row in ops.items() if r == rank]
+
+
+def _fraction(ops, rank, op):
+    """Share of ``rank``'s MPI time spent in ``op``."""
+    total = sum(row["time_s"] for row in _rank_rows(ops, rank))
+    return ops[rank, op]["time_s"] / total if total else 0.0
 
 
 def test_counts_and_ops_recorded():
@@ -24,14 +40,14 @@ def test_counts_and_ops_recorded():
             yield from comm.recv(source=0)
         return None
 
-    result, profiles = run_profiled(xt4("SN"), 2, main)
-    p0 = profiles[0]
-    assert p0.ops["barrier"].calls == 1
-    assert p0.ops["allreduce"].calls == 2
-    assert p0.ops["send"].calls == 1
-    assert p0.ops["send"].bytes == 100
-    assert profiles[1].ops["recv"].calls == 1
-    assert p0.total_calls == 4
+    result, ops = run_traced(xt4("SN"), 2, main)
+    assert ops[0, "barrier"]["calls"] == 1
+    assert ops[0, "allreduce"]["calls"] == 2
+    assert ops[0, "send"]["calls"] == 1
+    assert ops[0, "send"]["bytes"] == 100
+    assert ops[1, "recv"]["calls"] == 1
+    # A blocking send is one op: no inner ``isend`` is counted.
+    assert sum(row["calls"] for row in _rank_rows(ops, 0)) == 4
 
 
 def test_time_accumulates_and_fraction():
@@ -41,11 +57,12 @@ def test_time_accumulates_and_fraction():
         yield from comm.alltoallv(payloads)
         return None
 
-    _, profiles = run_profiled(xt4("VN"), 4, main)
-    p = profiles[0]
-    assert p.total_time_s > 0
-    assert 0 < p.fraction("alltoallv") < 1
-    assert p.fraction("allreduce") + p.fraction("alltoallv") == pytest.approx(1.0)
+    _, ops = run_traced(xt4("VN"), 4, main)
+    assert sum(row["time_s"] for row in _rank_rows(ops, 0)) > 0
+    assert 0 < _fraction(ops, 0, "alltoallv") < 1
+    assert _fraction(ops, 0, "allreduce") + _fraction(
+        ops, 0, "alltoallv"
+    ) == pytest.approx(1.0)
 
 
 def test_compute_is_not_mpi_time():
@@ -54,12 +71,12 @@ def test_compute_is_not_mpi_time():
         yield from comm.barrier()
         return None
 
-    _, profiles = run_profiled(xt4("SN"), 2, main)
+    _, ops = run_traced(xt4("SN"), 2, main)
     # Only the barrier appears; compute time excluded.
-    assert set(profiles[0].ops) == {"barrier"}
+    assert {op for (rank, op) in ops if rank == 0} == {"barrier"}
 
 
-def test_wrapped_comm_passthrough_semantics():
+def test_traced_comm_keeps_semantics():
     def main(comm):
         assert comm.size == 3
         v = yield from comm.allgather(comm.rank)
@@ -69,11 +86,15 @@ def test_wrapped_comm_passthrough_semantics():
         r = yield from comm.reduce(1, op="sum", root=0)
         return (v, g, s, b, r)
 
-    result, profiles = run_profiled(xt4("SN"), 3, main)
+    result, ops = run_traced(xt4("SN"), 3, main)
     v, g, s, b, r = result.returns[2]
     assert v == [0, 1, 2]
     assert s == 30 and b == "hi"
-    assert profiles[2].ops["allgather"].calls == 1
+    assert ops[2, "allgather"]["calls"] == 1
+    # Tracing only observes: the untraced run returns and times the same.
+    untraced = MPIJob(xt4("SN"), 3).run(main)
+    assert untraced.returns == result.returns
+    assert untraced.rank_times == result.rank_times
 
 
 def test_sendrecv_and_nonblocking_counted():
@@ -85,9 +106,12 @@ def test_sendrecv_and_nonblocking_counted():
         out = yield from comm.sendrecv(data, dest=peer, tag=10)
         return out
 
-    _, profiles = run_profiled(xt4("SN"), 2, main)
-    assert profiles[0].ops["isend"].calls == 1
-    assert profiles[0].ops["sendrecv"].calls == 1
+    _, ops = run_traced(xt4("SN"), 2, main)
+    assert ops[0, "isend"]["calls"] == 1
+    assert ops[0, "isend"]["time_s"] == 0.0
+    assert ops[0, "sendrecv"]["calls"] == 1
+    # sendrecv is one op: the explicit recv is the only ``recv`` counted.
+    assert ops[0, "recv"]["calls"] == 1
 
 
 def test_profile_rows_render():
@@ -97,14 +121,14 @@ def test_profile_rows_render():
         yield from comm.barrier()
         return None
 
-    _, profiles = run_profiled(xt4("SN"), 2, main)
-    text = render_table(profiles[0].as_rows())
+    _, ops = run_traced(xt4("SN"), 2, main)
+    text = render_table(_rank_rows(ops, 0))
     assert "barrier" in text
 
 
 def test_alltoallv_dominates_cam_style_breakdown():
     """A CAM-physics-shaped step: heavy alltoallv + tiny allreduce — the
-    profiler attributes the MPI time the way Fig. 16's analysis does."""
+    breakdown attributes the MPI time the way Fig. 16's analysis does."""
 
     def main(comm):
         payloads = [b"x" * 50_000] * comm.size
@@ -113,11 +137,10 @@ def test_alltoallv_dominates_cam_style_breakdown():
         yield from comm.allreduce(0.0)
         return None
 
-    _, profiles = run_profiled(xt4("VN"), 8, main)
-    assert profiles[0].fraction("alltoallv") > 0.7
+    _, ops = run_traced(xt4("VN"), 8, main)
+    assert _fraction(ops, 0, "alltoallv") > 0.7
 
 
 def test_empty_profile_fraction_zero():
-    p = MPIProfile(rank=0)
-    assert p.fraction("send") == 0.0
-    assert p.total_time_s == 0.0
+    assert mpi_op_rows([]) == []
+    assert _fraction({(0, "send"): {"time_s": 0.0}}, 0, "send") == 0.0

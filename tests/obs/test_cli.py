@@ -1,4 +1,4 @@
-"""End-to-end tests of the ``repro-trace`` CLI over real trace files."""
+"""End-to-end tests of the ``repro trace`` CLI over real trace files."""
 
 import pytest
 
@@ -77,17 +77,17 @@ def test_diff_fail_over_gates_on_counter_drift(traces, capsys):
 
 def test_missing_file_is_exit_2(tmp_path, capsys):
     assert main(["summary", str(tmp_path / "nope.json")]) == 2
-    assert "repro-trace:" in capsys.readouterr().err
+    assert "repro trace:" in capsys.readouterr().err
 
 
-def test_module_alias_runs():
+def test_repro_trace_subcommand_runs():
     import subprocess
     import sys
 
     proc = subprocess.run(
-        [sys.executable, "-m", "repro.obs", "--help"],
+        [sys.executable, "-m", "repro", "trace", "--", "--help"],
         capture_output=True,
         text=True,
     )
-    assert proc.returncode == 0
-    assert "repro-trace" in proc.stdout
+    assert proc.returncode == 0, proc.stderr
+    assert "repro trace" in proc.stdout

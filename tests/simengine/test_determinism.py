@@ -5,7 +5,8 @@
 import numpy as np
 
 from repro.machine import xt4
-from repro.mpi import MPIJob, profiled_job_run
+from repro.mpi import MPIJob
+from repro.obs import Tracer
 from repro.simengine.rng import DEFAULT_SEED, fork, seeded_rng
 
 import pytest
@@ -46,7 +47,7 @@ def test_fork_rejects_anonymous_stream():
 
 def _pingpong_trace(seed):
     """Run an 8-rank neighbour ping-pong under tracing; return the full
-    event/trace sequence and per-rank completion times."""
+    ``mpi.*`` span sequence (rank by rank) and per-rank completion times."""
 
     def main(comm, iters=4, nbytes=4096):
         peer = comm.rank ^ 1  # pair (0,1), (2,3), ...
@@ -60,13 +61,17 @@ def _pingpong_trace(seed):
         yield from comm.barrier()
         return comm.wtime()
 
-    job = MPIJob(xt4("VN"), 8, placement="random", seed=seed)
-    result, profiles = profiled_job_run(job, main, trace=True)
-    trace = [
-        (rank, ev.op, ev.t0, ev.t1, ev.nbytes)
-        for rank in sorted(profiles)
-        for ev in profiles[rank].events
-    ]
+    tracer = Tracer()
+    job = MPIJob(xt4("VN"), 8, placement="random", seed=seed, tracer=tracer)
+    result = job.run(main)
+    trace = sorted(
+        (
+            (int(s.track[4:]), s.name, s.t0, s.t1, s.args["bytes"])
+            for s in tracer.spans
+            if s.name.startswith("mpi.")
+        ),
+        key=lambda t: t[0],
+    )
     return trace, result.rank_times, result.elapsed_s
 
 
