@@ -28,15 +28,16 @@ however many crashes, steals and retries the journal records.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
-import subprocess
 import sys
 import time
+from multiprocessing.process import BaseProcess
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.campaign.cells import Cell
 from repro.campaign.journal import DONE, Journal, QUARANTINED
-from repro.campaign.worker import Worker, WorkerConfig, WorkerStats
+from repro.campaign.worker import FORK, Worker, WorkerConfig, WorkerStats, warm
 from repro.core.report import render_csv, render_result
 from repro.obs import Tracer, current_tracer
 from repro.runner.atomic import atomic_write_text
@@ -64,6 +65,13 @@ class CampaignExistsError(CampaignError):
 
 def _canonical_cells(cells: List[Dict[str, Any]]) -> str:
     return json.dumps(cells, sort_keys=True, separators=(",", ":"))
+
+
+def _worker_main(worker: Worker) -> None:
+    """Body of a forked worker: its own session, then the same drain as
+    ``repro campaign worker``."""
+    os.setsid()
+    sys.exit(worker.serve())
 
 
 class Campaign:
@@ -226,48 +234,50 @@ class Campaign:
         max_cells: Optional[int] = None,
         max_seconds: Optional[float] = None,
         force: bool = False,
-    ) -> List[subprocess.Popen]:
-        """Start ``n`` CLI worker processes draining this campaign.
+    ) -> List[BaseProcess]:
+        """Fork ``n`` worker processes draining this campaign.
 
-        Each worker gets its own session (``start_new_session=True``) so
-        a Ctrl-C at the coordinator does not blast the workers mid-append;
-        the coordinator forwards an orderly SIGTERM instead.
+        The registry is loaded first, so the workers and every cell
+        child they fork inherit it instead of importing it. Each worker
+        runs in its own session, so a Ctrl-C at the coordinator does not
+        blast the workers mid-append; the coordinator forwards an
+        orderly SIGTERM instead.
         """
+        warm()
         procs = []
         for i in range(n):
-            cmd = [
-                sys.executable, "-m", "repro.campaign", "worker", self.id,
-                "--root", str(self.root), "--name", f"w{i}",
-            ]
-            if max_cells is not None:
-                cmd += ["--max-cells", str(max_cells)]
-            if max_seconds is not None:
-                cmd += ["--max-seconds", str(max_seconds)]
-            if force:
-                cmd += ["--force"]
-            procs.append(subprocess.Popen(cmd, start_new_session=True))
+            worker = self.worker(
+                f"w{i}", max_cells=max_cells, max_seconds=max_seconds,
+                force=force,
+            )
+            proc = FORK.Process(
+                target=_worker_main, args=(worker,), name=worker.name
+            )
+            proc.start()
+            procs.append(proc)
         return procs
 
-    def wait(self, procs: List[subprocess.Popen]) -> List[int]:
-        """Wait for spawned workers; Ctrl-C forwards SIGTERM and waits.
+    def wait(self, procs: List[BaseProcess]) -> List[int]:
+        """Wait for forked workers; Ctrl-C forwards SIGTERM and waits.
 
         Returns the workers' exit codes. KeyboardInterrupt is re-raised
         after the workers have stopped cleanly (journal consistent,
         leases released) so the CLI can exit 130.
         """
         try:
-            return [p.wait() for p in procs]
+            for p in procs:
+                p.join()
         except KeyboardInterrupt:
             for p in procs:
-                if p.poll() is None:
+                if p.is_alive():
                     p.terminate()
             for p in procs:
-                try:
-                    p.wait(timeout=30)
-                except subprocess.TimeoutExpired:  # pragma: no cover
+                p.join(timeout=30)
+                if p.is_alive():  # pragma: no cover
                     p.kill()
-                    p.wait()
+                    p.join()
             raise
+        return [p.exitcode for p in procs]
 
     # -- outputs ----------------------------------------------------------
     def merge(

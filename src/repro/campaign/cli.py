@@ -11,9 +11,10 @@ Subcommands::
     repro campaign report sweep1 --out results-sweep1/
     repro campaign list                  # known campaign ids
 
-``worker`` is the internal entry the coordinator spawns; it is a public
-command on purpose — extra hosts sharing the campaign directory (and
-the result cache) via a shared filesystem can join a drain with it.
+``run``/``resume`` fork their ``--workers`` from the coordinator.
+``worker`` runs the same drain as a process started by hand: extra
+hosts sharing the campaign directory (and the result cache) via a
+shared filesystem can join a drain with it.
 
 Exit codes: 0 every cell done; 3 quarantined cells remain; 4 incomplete
 (slice budget hit or workers stopped early); 2 usage errors; 130
@@ -36,12 +37,7 @@ from repro.campaign.campaign import (
     CampaignError,
 )
 from repro.campaign.cells import Cell, build_cells
-from repro.campaign.worker import (
-    DRAINED,
-    SLICED,
-    STOPPED,
-    WorkerConfig,
-)
+from repro.campaign.worker import WorkerConfig
 from repro.runner.fingerprint import canonical_json, sha256_text
 
 __all__ = ["main"]
@@ -142,7 +138,7 @@ def _drain(campaign: Campaign, args: argparse.Namespace) -> Optional[int]:
         max_seconds=args.max_seconds,
         force=args.force,
     )
-    print(f"spawned {len(procs)} worker(s) on campaign {campaign.id}")
+    print(f"forked {len(procs)} worker(s) on campaign {campaign.id}")
     try:
         campaign.wait(procs)
     except KeyboardInterrupt:
@@ -269,21 +265,12 @@ def cmd_worker(args: argparse.Namespace) -> int:
     except CampaignError as exc:
         print(exc)
         return 2
-    worker = campaign.worker(
+    return campaign.worker(
         name=args.name,
         max_cells=args.max_cells,
         max_seconds=args.max_seconds,
         force=args.force,
-    )
-    worker.install_signal_handlers()
-    stats = worker.drain()
-    print(
-        f"worker {worker.name}: ran {stats.ran} "
-        f"({stats.done} done, {stats.cache_hits} warm, {stats.failed} "
-        f"failed, {stats.stolen} stolen) [{stats.outcome}]",
-        file=sys.stderr,
-    )
-    return {DRAINED: 0, SLICED: 4, STOPPED: 130}.get(stats.outcome, 1)
+    ).serve()
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -296,7 +283,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _add_drain_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers", "-w", type=int, default=1, metavar="N",
-        help="worker processes to spawn (0 = drain inline in this process)",
+        help="worker processes to fork (0 = drain inline in this process)",
     )
     parser.add_argument(
         "--max-cells", type=int, default=None, metavar="N",
@@ -407,8 +394,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p_worker = sub.add_parser(
         "worker",
-        help="drain cells as one worker process (spawned by `run`, or "
-        "started by hand to join a drain from another host)",
+        help="drain cells as one worker process (to join a drain by "
+        "hand or from another host)",
     )
     p_worker.add_argument("id", help="campaign id")
     p_worker.add_argument("--name", default=None, help="worker name")

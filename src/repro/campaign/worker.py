@@ -1,8 +1,12 @@
 """The campaign worker: drain cells until the queue is dry.
 
-One worker is one host process (usually spawned as ``python -m
-repro.campaign worker <id>``; ``--workers 0`` runs one inline). The
-drain loop:
+One worker is one host process: forked from the coordinator by
+``repro campaign run --workers N``, started by hand as ``repro campaign
+worker <id>`` (to join a drain from another host), or, with
+``--workers 0``, the coordinator itself. Before its first claim the
+worker loads the experiment registry and the cache-key inputs
+(:func:`warm`), so every cell child it forks inherits them instead of
+importing them again. The drain loop:
 
 1. **claim** — walk the cells in manifest order and take the first
    claimable one: ``pending``; ``failed`` whose backoff window has
@@ -49,6 +53,7 @@ import multiprocessing
 import os
 import pathlib
 import signal
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -63,16 +68,35 @@ from repro.campaign.journal import (
     Journal,
 )
 from repro.campaign.leases import Lease, heartbeat_age
+from repro.core.registry import all_experiments
 from repro.runner.cache import ResultCache
+from repro.runner.fingerprint import machine_blob, sweep_blob
 from repro.runner.runner import ExperimentRunner
 from repro.simengine.rng import fork
 
-__all__ = ["Worker", "WorkerConfig", "retry_backoff_s"]
+__all__ = ["FORK", "Worker", "WorkerConfig", "retry_backoff_s", "warm"]
 
 #: Drain-loop outcome states.
 DRAINED = "drained"    # every cell terminal
 SLICED = "sliced"      # slice budget spent, work remains
 STOPPED = "stopped"    # SIGTERM/SIGINT
+
+#: Worker-process exit status per outcome (anything else exits 1).
+_EXIT_CODES = {DRAINED: 0, SLICED: 4, STOPPED: 130}
+
+#: Workers and cell children are forks: they inherit the warm process.
+FORK = multiprocessing.get_context("fork")
+
+
+def warm() -> None:
+    """Load what every cell needs: the registry and the cache-key inputs.
+
+    Called before forking, so the children inherit them instead of each
+    importing ``repro.experiments`` and its dependencies again.
+    """
+    all_experiments()
+    machine_blob()
+    sweep_blob()
 
 
 @dataclass
@@ -193,6 +217,11 @@ class WorkerStats:
     outcome: str = DRAINED
     cells: List[str] = field(default_factory=list)
 
+    @property
+    def exit_code(self) -> int:
+        """The worker process's exit status for this drain."""
+        return _EXIT_CODES.get(self.outcome, 1)
+
 
 class Worker:
     """Drain loop over one campaign directory."""
@@ -213,15 +242,31 @@ class Worker:
         self.lease_dir = self.dir / "leases"
         self._stop = False
 
-    # -- signals ----------------------------------------------------------
+    # -- as a process -----------------------------------------------------
     def install_signal_handlers(self) -> None:
-        """Graceful stop on SIGTERM/SIGINT (CLI worker processes only)."""
+        """Graceful stop on SIGTERM/SIGINT (worker processes only)."""
 
         def _request_stop(signum, frame):  # pragma: no cover - signal path
             self._stop = True
 
         signal.signal(signal.SIGTERM, _request_stop)
         signal.signal(signal.SIGINT, _request_stop)
+
+    def serve(self) -> int:
+        """Drain as a worker process; returns its exit status.
+
+        The one body of both worker entries, ``repro campaign worker``
+        and the workers ``Campaign.spawn_workers`` forks.
+        """
+        self.install_signal_handlers()
+        stats = self.drain()
+        print(
+            f"worker {self.name}: ran {stats.ran} "
+            f"({stats.done} done, {stats.cache_hits} warm, {stats.failed} "
+            f"failed, {stats.stolen} stolen) [{stats.outcome}]",
+            file=sys.stderr,
+        )
+        return stats.exit_code
 
     # -- claiming ---------------------------------------------------------
     def _claimable(self, st: CellState, now: float) -> Optional[str]:
@@ -296,8 +341,8 @@ class Worker:
     def _run_cell(self, st: CellState, lease: Lease) -> Dict[str, Any]:
         """Execute ``st``'s cell in a child; returns the settle record."""
         cell = self.cells[st.cell_id]
-        recv, send = multiprocessing.Pipe(duplex=False)
-        child = multiprocessing.Process(
+        recv, send = FORK.Pipe(duplex=False)
+        child = FORK.Process(
             target=_cell_main,
             args=(cell.to_dict(), self.cfg.cache_dir, self.cfg.force, send),
             name=f"cell-{st.cell_id}",
@@ -366,6 +411,7 @@ class Worker:
 
     # -- the loop ---------------------------------------------------------
     def drain(self) -> WorkerStats:
+        warm()
         stats = WorkerStats()
         t_start = time.monotonic()
         while not self._stop:

@@ -1,9 +1,16 @@
 """Campaign lifecycle: manifest, inline drain, resume, merge, telemetry."""
 # Small budgets below are test fixtures, not model constants.
-# simlint: ignore-file[SL302,SL303]
+# simlint: ignore-file[SL201,SL302,SL303]
 
+import fcntl
 import json
+import os
 import pathlib
+import re
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -16,6 +23,7 @@ from repro.campaign import (
 )
 from repro.__main__ import main as repro_main
 from repro.campaign.cells import plan_tag
+from repro.campaign.journal import Journal
 from repro.core import registry
 from repro.core.report import render_csv, render_result
 from repro.faults import FaultPlan
@@ -273,3 +281,122 @@ def test_front_ends_share_keys_and_bytes(tmp_path, monkeypatch, faulted):
     assert keys["serial"] == keys["jobs2"] == keys["inline"] == keys["workers2"]
     assert artifacts["serial"] == artifacts["jobs2"] == artifacts["inline"]
     assert artifacts["serial"] == artifacts["workers2"]
+
+
+def _repro_process(argv, cwd, stdout, **env):
+    """``python -m repro <argv>`` as a child process of the test."""
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", *argv], cwd=cwd, stdout=stdout,
+        stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=SRC, **env),
+    )
+
+
+def test_one_registry_import_per_campaign_process_tree(tmp_path):
+    """Workers and cells are forks of the coordinator's warm process.
+
+    ``PYTHONPROFILEIMPORTTIME`` reaches every interpreter of the tree
+    (forks inherit it), so the ``repro.experiments`` package line shows
+    up once per process that imports the registry: it must be only the
+    coordinator. Its stdout, redirected to a file, must hold each of its
+    lines once: a forked worker does not re-flush the parent's buffer.
+    """
+    with open(tmp_path / "stdout.txt", "w") as out:
+        proc = _repro_process(
+            ["campaign", "run", "--cells", "table1,fig04,fig05",
+             "--workers", "2", "--root", "camp", "--cache-dir", "cache",
+             "--out", "out"],
+            tmp_path, out, PYTHONPROFILEIMPORTTIME="1",
+        )
+        _, stderr = proc.communicate(timeout=120)
+    assert proc.returncode == 0, stderr[-2000:]
+    imports = [
+        line for line in stderr.splitlines()
+        if re.fullmatch(r"import time:.*\|\s+repro\.experiments", line)
+    ]
+    assert len(imports) == 1, imports
+    lines = (tmp_path / "stdout.txt").read_text().splitlines()
+    assert len(lines) == 4, lines  # header, forked, summary, wrote
+    assert len(set(lines)) == len(lines), lines
+    assert lines[1].startswith("forked 2 worker(s)")
+
+
+def _children(pid):
+    """Pids whose parent is ``pid``."""
+    found = []
+    for stat in pathlib.Path("/proc").glob("[0-9]*/stat"):
+        try:
+            ppid = int(stat.read_text().rsplit(")", 1)[1].split()[1])
+        except (OSError, IndexError, ValueError):
+            continue
+        if ppid == pid:
+            found.append(int(stat.parent.name))
+    return found
+
+
+def _tree_bytes(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+@pytest.mark.slow
+def test_ctrl_c_at_coordinator_stops_workers_and_resume_matches(tmp_path):
+    cells = "table1,fig04,fig05,fig06"
+    root, cache = str(tmp_path / "root"), str(tmp_path / "cache")
+    gold = tmp_path / "gold"
+    assert repro_main([
+        "campaign", "run", "--id", "gold", "--cells", cells,
+        "--workers", "0", "--root", root, "--cache-dir",
+        str(tmp_path / "gold-cache"), "--out", str(gold),
+    ]) == 0
+
+    coordinator = _repro_process(
+        ["campaign", "run", "--id", "cc", "--cells", cells, "--workers", "2",
+         "--heartbeat", "0.1", "--root", root, "--cache-dir", cache],
+        tmp_path, subprocess.DEVNULL, REPRO_CAMPAIGN_CELL_DELAY_S="0.5",
+    )
+    journal = Journal(tmp_path / "root" / "cc")
+    try:
+        deadline = time.monotonic() + 60
+        leased = set()
+        while leased != {"w0", "w1"}:  # both forked and mid-cell
+            assert time.monotonic() < deadline, "workers never leased"
+            time.sleep(0.05)
+            leased = {
+                r.get("worker") for r in journal.records()
+                if r.get("state") == "leased"
+            }
+        workers = _children(coordinator.pid)
+        assert len(workers) == 2
+        coordinator.send_signal(signal.SIGINT)  # the coordinator only
+        _, stderr = coordinator.communicate(timeout=60)
+        assert coordinator.returncode == 130, stderr[-2000:]
+    finally:
+        if coordinator.poll() is None:
+            for pid in [coordinator.pid, *_children(coordinator.pid)]:
+                os.kill(pid, signal.SIGKILL)
+            coordinator.wait()
+
+    # Both workers were stopped mid-cell, leaving their cells leased
+    # without burning an attempt, and reaped before the coordinator left...
+    campaign = Campaign.load("cc", root=root)
+    assert not campaign.finished()
+    assert all(st.failures == 0 for st in campaign.states().values())
+    for pid in workers:
+        assert not pathlib.Path(f"/proc/{pid}").exists(), pid
+    # ...and no cell child outlived them holding a lease.
+    leases = sorted((tmp_path / "root" / "cc" / "leases").glob("*.lease"))
+    assert leases
+    for lease in leases:
+        fd = os.open(lease, os.O_RDWR)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        finally:
+            os.close(fd)
+
+    out = tmp_path / "resumed"
+    assert repro_main([
+        "campaign", "resume", "cc", "--workers", "2", "--root", root,
+        "--out", str(out),
+    ]) == 0
+    assert campaign.summary()["stolen"] >= 1
+    assert _tree_bytes(out) == _tree_bytes(gold)
