@@ -237,8 +237,8 @@ class Campaign:
     ) -> List[BaseProcess]:
         """Fork ``n`` worker processes draining this campaign.
 
-        The registry is loaded first, so the workers and every cell
-        child they fork inherit it instead of importing it. Each worker
+        Every driver is imported and the model tree hashed first, so
+        the workers and every cell child they fork inherit them. Each worker
         runs in its own session, so a Ctrl-C at the coordinator does not
         blast the workers mid-append; the coordinator forwards an
         orderly SIGTERM instead.

@@ -4,9 +4,9 @@ One worker is one host process: forked from the coordinator by
 ``repro campaign run --workers N``, started by hand as ``repro campaign
 worker <id>`` (to join a drain from another host), or, with
 ``--workers 0``, the coordinator itself. Before its first claim the
-worker loads the experiment registry and the cache-key inputs
+worker imports every driver module and hashes the model tree
 (:func:`warm`), so every cell child it forks inherits them instead of
-importing them again. The drain loop:
+importing and hashing again. The drain loop:
 
 1. **claim** — walk the cells in manifest order and take the first
    claimable one: ``pending``; ``failed`` whose backoff window has
@@ -68,9 +68,9 @@ from repro.campaign.journal import (
     Journal,
 )
 from repro.campaign.leases import Lease, heartbeat_age
-from repro.core.registry import all_experiments
+from repro.core.registry import all_experiments, get_experiment
 from repro.runner.cache import ResultCache
-from repro.runner.fingerprint import machine_blob, sweep_blob
+from repro.runner.fingerprint import model_tree_hash
 from repro.runner.runner import ExperimentRunner
 from repro.simengine.rng import fork
 
@@ -89,14 +89,14 @@ FORK = multiprocessing.get_context("fork")
 
 
 def warm() -> None:
-    """Load what every cell needs: the registry and the cache-key inputs.
+    """Load what every cell needs: every driver and the model tree hash.
 
     Called before forking, so the children inherit them instead of each
-    importing ``repro.experiments`` and its dependencies again.
+    importing the drivers and their dependencies again.
     """
-    all_experiments()
-    machine_blob()
-    sweep_blob()
+    for exp_id in all_experiments():
+        get_experiment(exp_id)
+    model_tree_hash()
 
 
 @dataclass

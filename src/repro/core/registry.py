@@ -5,22 +5,24 @@ returning an :class:`~repro.core.experiment.ExperimentResult`; the registry
 is what the benchmark harness, the parallel runner and the ``examples``
 iterate over.
 
-Registration also carries lightweight metadata (the artifact's title) so
-that front-ends like ``repro list`` can describe every experiment without
-executing a single driver — drivers run whole simulated benchmark sweeps,
-so listing must stay O(imports).
+Ids, titles and driver module names come from the static table
+:data:`repro.experiments.DRIVERS`, so ``repro list``, id validation and an
+all-hit ``repro all`` import no driver (and with them no numpy, no
+scipy). :func:`get_experiment` imports the one module it is asked for;
+that module's ``@register`` must agree with its table row.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+import importlib
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.experiment import ExperimentResult
+from repro.experiments import DRIVERS
 
 Driver = Callable[[], ExperimentResult]
 
 _REGISTRY: Dict[str, Driver] = {}
-_TITLES: Dict[str, str] = {}
 
 
 class UnknownExperimentError(KeyError):
@@ -44,57 +46,59 @@ class UnknownExperimentError(KeyError):
 def register(exp_id: str, title: str = "") -> Callable[[Driver], Driver]:
     """Decorator: ``@register("fig08", title="Global HPL")`` on a driver.
 
-    ``title`` is served by :func:`experiment_title` without running the
-    driver; it must match the title of the ``ExperimentResult`` the
-    driver returns (enforced by a test).
+    The id, the driver's module and ``title`` must match the id's row in
+    :data:`repro.experiments.DRIVERS`, which is what :func:`experiment_title`
+    serves without importing the driver; the title must also match the
+    ``ExperimentResult`` the driver returns (enforced by a test).
     """
 
     def deco(fn: Driver) -> Driver:
         if exp_id in _REGISTRY:
             raise ValueError(f"experiment {exp_id!r} registered twice")
+        if DRIVERS.get(exp_id) != (fn.__module__, title):
+            raise ValueError(
+                f"@register({exp_id!r}) in {fn.__module__} with title "
+                f"{title!r} disagrees with repro.experiments.DRIVERS: "
+                f"{DRIVERS.get(exp_id)}"
+            )
         _REGISTRY[exp_id] = fn
-        if title:
-            _TITLES[exp_id] = title
         return fn
 
     return deco
 
 
-def get_experiment(exp_id: str) -> Driver:
-    """Look up a registered driver (importing repro.experiments first)."""
-    _ensure_loaded()
+def _row(exp_id: str) -> Tuple[str, str]:
+    """``exp_id``'s ``(module, title)`` row of the driver table."""
     try:
-        return _REGISTRY[exp_id]
+        return DRIVERS[exp_id]
     except KeyError:
-        raise UnknownExperimentError(exp_id, sorted(_REGISTRY)) from None
-
-
-def experiment_title(exp_id: str) -> str:
-    """The registered title of ``exp_id`` — without executing its driver.
-
-    Returns an empty string for drivers registered without one.
-    """
-    _ensure_loaded()
-    if exp_id not in _REGISTRY:
-        raise UnknownExperimentError(exp_id, sorted(_REGISTRY))
-    return _TITLES.get(exp_id, "")
-
-
-def experiment_titles() -> Dict[str, str]:
-    """``{exp_id: title}`` for every registered experiment (sorted)."""
-    _ensure_loaded()
-    return {exp_id: _TITLES.get(exp_id, "") for exp_id in sorted(_REGISTRY)}
+        raise UnknownExperimentError(exp_id, sorted(DRIVERS)) from None
 
 
 def driver_module(exp_id: str) -> str:
     """Dotted module name of the driver registered under ``exp_id``."""
-    return get_experiment(exp_id).__module__
+    return _row(exp_id)[0]
+
+
+def get_experiment(exp_id: str) -> Driver:
+    """Look up a registered driver, importing its module if needed."""
+    importlib.import_module(driver_module(exp_id))
+    return _REGISTRY[exp_id]
+
+
+def experiment_title(exp_id: str) -> str:
+    """The registered title of ``exp_id`` — without importing its driver."""
+    return _row(exp_id)[1]
+
+
+def experiment_titles() -> Dict[str, str]:
+    """``{exp_id: title}`` for every registered experiment (sorted)."""
+    return {exp_id: DRIVERS[exp_id][1] for exp_id in sorted(DRIVERS)}
 
 
 def all_experiments() -> List[str]:
     """Sorted ids of every registered experiment."""
-    _ensure_loaded()
-    return sorted(_REGISTRY)
+    return sorted(DRIVERS)
 
 
 def resolve_ids(requested: Optional[List[str]] = None) -> List[str]:
@@ -103,12 +107,11 @@ def resolve_ids(requested: Optional[List[str]] = None) -> List[str]:
     ``None`` (or an empty list) means "everything". Unknown ids raise
     :class:`UnknownExperimentError` listing the known ids.
     """
-    _ensure_loaded()
-    known = sorted(_REGISTRY)
+    known = sorted(DRIVERS)
     if not requested:
         return known
     for exp_id in requested:
-        if exp_id not in _REGISTRY:
+        if exp_id not in DRIVERS:
             raise UnknownExperimentError(exp_id, known)
     # Registry (sorted) order, independent of how the user listed them,
     # so parallel and serial runs merge results identically.
@@ -117,5 +120,6 @@ def resolve_ids(requested: Optional[List[str]] = None) -> List[str]:
 
 
 def _ensure_loaded() -> None:
-    # Importing the package runs every @register decorator exactly once.
-    import repro.experiments  # noqa: F401
+    """Import every driver module, running each ``@register`` once."""
+    for exp_id in DRIVERS:
+        get_experiment(exp_id)

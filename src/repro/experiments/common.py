@@ -1,13 +1,17 @@
-"""Shared sweeps and helpers for the experiment drivers."""
+"""Shared sweeps and helpers for the experiment drivers.
+
+The command line imports this module for its flags and context
+managers, so it imports no model at the top: a warm ``repro all`` and
+``repro list`` stay free of numpy.
+"""
 
 from __future__ import annotations
 
 import argparse
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Iterator, Optional, Tuple
 
 from repro.core.experiment import ExperimentResult
-from repro.machine.configs import xt3, xt3_dc, xt4, xt3_xt4_combined
 from repro.obs import Tracer, installed, write_chrome_trace
 
 #: Processor-count sweep for the global HPCC figures (paper x-axis to ~1200).
@@ -27,23 +31,6 @@ NAMD_SWEEP: Tuple[int, ...] = (64, 128, 256, 512, 1024, 2048, 4096, 8192, 12000)
 
 #: S3D weak-scaling core counts (paper Fig. 22, log axis 1..10000).
 S3D_SWEEP: Tuple[int, ...] = (1, 8, 64, 512, 4096, 12000)
-
-
-def sweep_constants() -> Dict[str, List[int]]:
-    """Every shared sweep as a JSON-safe dict.
-
-    This is a cache-key ingredient for the experiment runner: editing
-    any sweep (more points, a wider axis) must invalidate every cached
-    result computed from it.
-    """
-    return {
-        "GLOBAL_SWEEP": list(GLOBAL_SWEEP),
-        "CAM_SWEEP": list(CAM_SWEEP),
-        "POP_SWEEP": list(POP_SWEEP),
-        "POP_COMBINED_SWEEP": list(POP_COMBINED_SWEEP),
-        "NAMD_SWEEP": list(NAMD_SWEEP),
-        "S3D_SWEEP": list(S3D_SWEEP),
-    }
 
 
 def add_trace_flag(parser: argparse.ArgumentParser) -> None:
@@ -152,6 +139,8 @@ def global_hpcc_series(
     indexed by sockets (= cores = tasks), XT4-VN plotted both per core
     (tasks = x) and per socket (tasks = 2x).
     """
+    from repro.machine.configs import xt3, xt4
+
     result.add("XT3 (5/06)", list(sweep), [metric(xt3(), p) for p in sweep])
     result.add(
         "XT4-SN (2/07)", list(sweep), [metric(xt4("SN"), p) for p in sweep]

@@ -6,10 +6,12 @@ reproducible, the property the paper's artifact (and any large
 simulation sweep) lives on:
 
 * :mod:`repro.runner.fingerprint` — derives a SHA-256 cache key from
-  the driver module source, the machine-config JSON, the shared sweep
-  constants, the package version and the fault-plan hash;
+  the experiment id, one hash over the bytes of the model packages'
+  source files, and the fault-plan hash, without importing the model;
 * :mod:`repro.runner.cache` — a content-addressed result store under
   ``.repro-cache/`` with atomic writes and corruption-as-miss reads;
+  each entry carries its result's shape-check outcome, so an all-hit
+  run imports no driver;
 * :mod:`repro.runner.runner` — :class:`ExperimentRunner`, the only
   code that turns an experiment id and fault plan into a cache key, an
   execution and a stored entry: it checks the cache, fans misses out
@@ -41,10 +43,8 @@ from repro.runner.cache import (
 from repro.runner.fingerprint import (
     NO_FAULTS,
     cache_key,
-    driver_source,
     fault_hash,
-    machine_blob,
-    sweep_blob,
+    model_tree_hash,
 )
 from repro.runner.runner import ExperimentRunner, RunOutcome
 
@@ -57,8 +57,6 @@ __all__ = [
     "RunOutcome",
     "cache_key",
     "defer_sigint",
-    "driver_source",
     "fault_hash",
-    "machine_blob",
-    "sweep_blob",
+    "model_tree_hash",
 ]

@@ -3,21 +3,22 @@
 Layout (under the cache root, default ``.repro-cache/``)::
 
     .repro-cache/
-        v1/
+        v2/
             ab/
                 ab3f...e2.json     # one entry per cache key
 
 Each entry is a self-describing JSON document: the key, the experiment
-id, the package version, the measured execution wall time, and the
-serialized :class:`~repro.core.experiment.ExperimentResult`. Entries are
+id, the package version, the measured execution wall time, the
+serialized :class:`~repro.core.experiment.ExperimentResult` and the
+outcome of the driver's ``shape_checks`` (its list of failures), so a
+hit reports PASS/FAIL without importing the driver. Entries are
 written atomically (:func:`~repro.runner.atomic.atomic_write_text`) so a
 crashed or concurrent run never leaves a truncated entry; unreadable
 entries are treated as misses and overwritten.
 
 The key (see :meth:`~repro.runner.runner.ExperimentRunner.key_for`)
-addresses *content*: two trees with identical driver source, machine
-configs, sweeps, version and fault plan share results; any divergence
-misses.
+addresses *content*: two trees with identical model sources and fault
+plan share results; any divergence misses.
 """
 
 from __future__ import annotations
@@ -25,14 +26,14 @@ from __future__ import annotations
 import json
 import pathlib
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from repro.core.experiment import ExperimentResult
 from repro.runner.atomic import atomic_write_text
 
 #: Bump when the entry schema changes; lives in the directory layout so
 #: old and new schemas never collide.
-SCHEMA = "v1"
+SCHEMA = "v2"
 
 DEFAULT_CACHE_DIR = ".repro-cache"
 
@@ -46,9 +47,11 @@ class CacheEntry:
     version: str
     wall_s: float
     result: ExperimentResult
+    #: The failed shape checks of ``result`` (empty: PASS). A pure
+    #: function of the result and the driver source, both in the key.
+    failures: List[str]
     #: ``(fast, total)`` network transfers of the original run, or
-    #: ``None`` for entries written before the field existed — old
-    #: entries stay readable, they just report no totals.
+    #: ``None`` when the writer did not count them.
     net: Optional[Tuple[int, int]] = None
 
     def to_dict(self) -> dict:
@@ -58,6 +61,7 @@ class CacheEntry:
             "version": self.version,
             "wall_s": self.wall_s,
             "result": self.result.to_dict(),
+            "failures": list(self.failures),
         }
         if self.net is not None:
             d["net"] = list(self.net)
@@ -72,6 +76,7 @@ class CacheEntry:
             version=data["version"],
             wall_s=float(data["wall_s"]),
             result=ExperimentResult.from_dict(data["result"]),
+            failures=list(data["failures"]),
             net=tuple(net) if net is not None else None,
         )
 

@@ -15,13 +15,14 @@ It:
   serial one;
 * consults the content-addressed :class:`~repro.runner.cache.ResultCache`
   first: a hit rehydrates the stored
-  :class:`~repro.core.experiment.ExperimentResult` without executing a
-  single driver;
+  :class:`~repro.core.experiment.ExperimentResult` and its shape-check
+  outcome without importing, let alone executing, a single driver;
 * dispatches the misses across a :class:`concurrent.futures.
   ProcessPoolExecutor` (``jobs > 1``) or runs them inline (``jobs=1``);
-* turns a raising driver into a failed :class:`RunOutcome` rather than
-  an abort, so one broken experiment never costs the others their
-  artifacts;
+* runs each executed driver's ``shape_checks`` in the process that ran
+  it, and turns a raising driver or check into a failed
+  :class:`RunOutcome` rather than an abort, so one broken experiment
+  never costs the others their artifacts;
 * surfaces per-experiment wall time and cache hit/miss totals through
   the :mod:`repro.obs` counter layer (``runner.cache.hits``,
   ``runner.cache.misses``, ``runner.exp[<id>].wall_s``) whenever a
@@ -34,24 +35,19 @@ nondeterminism rule is suppressed at those sites.
 
 from __future__ import annotations
 
+import importlib
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.experiment import ExperimentResult
-from repro.core.registry import get_experiment, resolve_ids
+from repro.core.registry import driver_module, get_experiment, resolve_ids
 from repro.obs import Tracer, current_tracer
 from repro.runner.cache import CacheEntry, ResultCache
-from repro.runner.fingerprint import (
-    cache_key,
-    driver_source,
-    fault_hash,
-    machine_blob,
-    sweep_blob,
-)
+from repro.runner.fingerprint import cache_key, fault_hash, model_tree_hash
 from repro.version import __version__
 
 
@@ -63,17 +59,20 @@ class RunOutcome:
     that ran it; for cache hits it is the *stored* execution time of
     the original run (the hit itself costs only a JSON load).
 
+    ``failures`` lists the failed shape checks of ``result`` (empty:
+    PASS), computed where the driver ran and stored with a cache entry.
+
     ``error`` is set (and ``result`` is ``None``) when the experiment
-    could not be executed: its driver raised, or a pool worker died
-    (OOM-killed, segfaulted) and the one inline retry failed too.
-    Failed outcomes are never cached.
+    could not be executed: its driver or its shape checks raised, or a
+    pool worker died (OOM-killed, segfaulted) and the one inline retry
+    failed too. Failed outcomes are never cached.
 
     ``net`` is the ``(fast, total)`` network transfer count observed by
     the executing process (:func:`repro.network.simnet.transfer_totals`)
     — counted in the worker and shipped back through the pool, so
     ``--jobs N`` fan-out reports the same totals as a serial run. For
     cache hits it is the stored count of the original run; ``None`` only
-    for failed outcomes and entries predating the field.
+    for failed outcomes.
     """
 
     exp_id: str
@@ -83,6 +82,7 @@ class RunOutcome:
     key: Optional[str] = None
     error: Optional[str] = None
     net: Optional[Tuple[int, int]] = None
+    failures: List[str] = field(default_factory=list)
 
     @property
     def failed(self) -> bool:
@@ -103,9 +103,10 @@ def _execute(
     boundary (which is also why profile artifacts are written here, in
     the worker, rather than returned).
 
-    A driver that raises yields an ``error`` payload instead. Only
-    :class:`Exception` is caught: ``KeyboardInterrupt`` still stops the
-    run.
+    The driver's module's ``shape_checks(result)`` runs here too, and
+    its failures ride the payload. A driver or check that raises yields
+    an ``error`` payload instead. Only :class:`Exception` is caught:
+    ``KeyboardInterrupt`` still stops the run.
     """
     from repro.experiments.common import profiling_to, tracing_to
     from repro.network import simnet
@@ -124,11 +125,13 @@ def _execute(
             result = get_experiment(exp_id)()
             wall_s = time.perf_counter() - t0  # simlint: ignore[SL201]
             net = simnet.reset_transfer_totals()
+        module = importlib.import_module(driver_module(exp_id))
         return {
             "exp_id": exp_id,
             "result": result.to_dict(),
             "wall_s": wall_s,
             "net": list(net),
+            "failures": module.shape_checks(result).failures,
         }
     except Exception as exc:  # noqa: BLE001 - surfaced per-experiment
         return {
@@ -187,10 +190,7 @@ class ExperimentRunner:
         """The content-address of ``exp_id`` under the current inputs."""
         return cache_key(
             exp_id,
-            driver_src=driver_source(exp_id),
-            machines=machine_blob(),
-            sweeps=sweep_blob(),
-            version=__version__,
+            tree=model_tree_hash(),
             fault_hash=fault_hash(self.fault_plan),
         )
 
@@ -228,9 +228,13 @@ class ExperimentRunner:
                     wall_s=entry.wall_s,
                     key=key,
                     net=entry.net,
+                    failures=entry.failures,
                 )
             else:
                 to_run.append(exp_id)
+                # Import the driver here, so --jobs pool workers fork
+                # with it loaded instead of each importing it again.
+                get_experiment(exp_id)
 
         for payload in self._execute_many(to_run, jobs):
             exp_id = payload["exp_id"]
@@ -246,14 +250,15 @@ class ExperimentRunner:
                 )
                 continue
             result = ExperimentResult.from_dict(payload["result"])
-            net = payload.get("net")
+            net = payload["net"]
             outcome = RunOutcome(
                 exp_id=exp_id,
                 result=result,
                 from_cache=False,
                 wall_s=payload["wall_s"],
                 key=key,
-                net=tuple(net) if net is not None else None,
+                net=tuple(net),
+                failures=payload["failures"],
             )
             if caching and key is not None:
                 self.cache.put(
@@ -263,6 +268,7 @@ class ExperimentRunner:
                         version=__version__,
                         wall_s=outcome.wall_s,
                         result=result,
+                        failures=outcome.failures,
                         net=outcome.net,
                     )
                 )

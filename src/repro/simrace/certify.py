@@ -20,10 +20,10 @@ rewrite's "bit-identical results" gate (ROADMAP item 1, and
 docs/DETERMINISM.md).
 
 Certificates are content-addressed like cached results: the key covers
-the driver's result cache key (source, machine configs, sweeps, version
-— see :meth:`repro.runner.ExperimentRunner.key_for`) plus the
+the driver's result cache key (the experiment id and the model tree
+hash — see :meth:`repro.runner.ExperimentRunner.key_for`) plus the
 certification parameters, so editing a driver or the machine model
-invalidates its certificate and nothing else.
+invalidates the certificates and editing tooling does not.
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ from repro.core.report import render_csv, render_result
 from repro.faults import FaultPlan
 from repro.obs import Tracer
 from repro.runner import ExperimentRunner, ResultCache
+from repro.runner.cache import SCHEMA
 
 CHEAP = ["fig05", "table1"]
 EMPTY_PLAN = {"version": 1, "events": []}
@@ -179,7 +180,7 @@ def test_merge_reports_unfinished_and_evicted_cells(tmp_path):
     assert len(problems) == 1 and "pending" in problems[0]
     # Evict the store: merge flags the vanished result instead of dying.
     cache_dir = tmp_path / "cache"
-    for entry in (cache_dir / "v1").glob("*/*.json"):
+    for entry in (cache_dir / SCHEMA).glob("*/*.json"):
         entry.unlink()
     written, problems = campaign.merge(tmp_path / "out2")
     assert written == []

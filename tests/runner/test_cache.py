@@ -26,7 +26,8 @@ def _result() -> ExperimentResult:
 
 def _entry(key=KEY) -> CacheEntry:
     return CacheEntry(
-        key=key, exp_id="figX", version="1.0.0", wall_s=0.25, result=_result()
+        key=key, exp_id="figX", version="1.0.0", wall_s=0.25,
+        result=_result(), failures=["[figX] a check: expected 1, actual 2"],
     )
 
 
@@ -77,6 +78,24 @@ def test_schema_incompatible_entry_is_a_miss(tmp_path):
     path = cache.put(_entry())
     data = json.loads(path.read_text())
     del data["result"]
+    path.write_text(json.dumps(data))
+    assert cache.get(KEY) is None
+
+
+def test_shape_outcome_round_trips(tmp_path):
+    cache = ResultCache(tmp_path / "c")
+    path = cache.put(_entry())
+    assert path.relative_to(tmp_path / "c").parts[0] == "v2"
+    assert cache.get(KEY).failures == _entry().failures
+
+
+def test_entry_without_shape_outcome_is_a_miss(tmp_path):
+    # The outcome is required: a hit never imports the driver to
+    # recompute it.
+    cache = ResultCache(tmp_path / "c")
+    path = cache.put(_entry())
+    data = json.loads(path.read_text())
+    del data["failures"]
     path.write_text(json.dumps(data))
     assert cache.get(KEY) is None
 

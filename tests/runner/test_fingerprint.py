@@ -1,26 +1,45 @@
 """Cache-key derivation: every ingredient must invalidate independently."""
 
 import json
+import pathlib
+import shutil
+
+import pytest
 
 from repro.faults import FaultPlan
 from repro.runner import (
     NO_FAULTS,
     ExperimentRunner,
     cache_key,
-    driver_source,
     fault_hash,
-    machine_blob,
-    sweep_blob,
+    model_tree_hash,
 )
 from repro.runner.fingerprint import canonical_json, sha256_text
 
-BASE = dict(
-    driver_src="def run(): return 1\n",
-    machines='{"xt4/SN":{}}',
-    sweeps='{"GLOBAL_SWEEP":[128]}',
-    version="1.0.0",
-    fault_hash=NO_FAULTS,
-)
+PACKAGE = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
+
+BASE = dict(tree="ab" * 32, fault_hash=NO_FAULTS)
+
+
+@pytest.fixture
+def tree_copy(tmp_path):
+    """An editable copy of the ``repro`` package; hash it after editing
+    (the hash is memoized per root)."""
+    copy = tmp_path / "repro"
+    shutil.copytree(
+        PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__")
+    )
+    return copy
+
+
+def _edit(path, old, new):
+    text = path.read_text()
+    assert old in text, f"{old!r} not in {path}"
+    path.write_text(text.replace(old, new, 1))
+
+
+def _key_of(tree):
+    return cache_key("fig05", tree=tree, fault_hash=NO_FAULTS)
 
 
 def test_identical_inputs_identical_key():
@@ -31,47 +50,56 @@ def test_exp_id_in_key():
     assert cache_key("fig05", **BASE) != cache_key("fig06", **BASE)
 
 
-def test_driver_source_edit_misses():
-    edited = dict(BASE, driver_src="def run(): return 2\n")
-    assert cache_key("fig05", **BASE) != cache_key("fig05", **edited)
-
-
-def test_machine_config_swap_misses():
-    edited = dict(BASE, machines='{"xt4/SN":{"clock_ghz":2.8}}')
-    assert cache_key("fig05", **BASE) != cache_key("fig05", **edited)
-
-
-def test_sweep_change_misses():
-    edited = dict(BASE, sweeps='{"GLOBAL_SWEEP":[128,256]}')
-    assert cache_key("fig05", **BASE) != cache_key("fig05", **edited)
-
-
-def test_version_bump_misses():
-    edited = dict(BASE, version="1.0.1")
-    assert cache_key("fig05", **BASE) != cache_key("fig05", **edited)
-
-
 def test_fault_plan_attach_misses():
     edited = dict(BASE, fault_hash="ab" * 32)
     assert cache_key("fig05", **BASE) != cache_key("fig05", **edited)
 
 
-def test_driver_source_is_module_source():
-    src = driver_source("fig05")
-    assert '@register("fig05"' in src and "def shape_checks" in src
+def test_unedited_copy_hashes_like_the_checkout(tree_copy):
+    assert model_tree_hash(str(tree_copy)) == model_tree_hash()
 
 
-def test_machine_blob_covers_both_modes():
-    blob = json.loads(machine_blob())
-    assert "xt4/SN" in blob and "xt4/VN" in blob
-    assert blob["xt4/SN"]["node"]["processor"]
+def test_driver_source_edit_misses(tree_copy):
+    _edit(tree_copy / "experiments" / "fig05_dgemm.py",
+          "def shape_checks", "# edited\ndef shape_checks")
+    edited = model_tree_hash(str(tree_copy))
+    assert _key_of(edited) != _key_of(model_tree_hash())
 
 
-def test_sweep_blob_matches_common_constants():
-    from repro.experiments.common import GLOBAL_SWEEP
+def test_machine_config_swap_misses(tree_copy):
+    path = tree_copy / "machine" / "configs.py"
+    path.write_text(path.read_text() + "\n# recalibrated\n")
+    edited = model_tree_hash(str(tree_copy))
+    assert _key_of(edited) != _key_of(model_tree_hash())
 
-    blob = json.loads(sweep_blob())
-    assert blob["GLOBAL_SWEEP"] == list(GLOBAL_SWEEP)
+
+def test_sweep_change_misses(tree_copy):
+    _edit(tree_copy / "experiments" / "common.py",
+          "GLOBAL_SWEEP: Tuple[int, ...] = (128, ",
+          "GLOBAL_SWEEP: Tuple[int, ...] = (64, 128, ")
+    edited = model_tree_hash(str(tree_copy))
+    assert _key_of(edited) != _key_of(model_tree_hash())
+
+
+def test_model_edit_outside_driver_misses(tree_copy):
+    # What the old package-version guard was for: a model module that
+    # no driver's own source names.
+    _edit(tree_copy / "apps" / "pop" / "model.py",
+          "CG_ITERS_PER_STEP = 150", "CG_ITERS_PER_STEP = 300")
+    assert model_tree_hash(str(tree_copy)) != model_tree_hash()
+
+
+def test_new_model_file_misses(tree_copy):
+    (tree_copy / "kernels" / "extra.py").write_text("X = 1\n")
+    assert model_tree_hash(str(tree_copy)) != model_tree_hash()
+
+
+def test_tooling_edit_keeps_the_hash(tree_copy):
+    for package in ("lint", "campaign", "runner", "obs", "prof", "simrace"):
+        path = tree_copy / package / "__init__.py"
+        path.write_text(path.read_text() + "\n# edited\n")
+    (tree_copy / "version.py").write_text('__version__ = "9.9.9"\n')
+    assert model_tree_hash(str(tree_copy)) == model_tree_hash()
 
 
 def _plan_hash(path):

@@ -1,14 +1,18 @@
 """ExperimentRunner: caching, invalidation, parallel/serial equivalence."""
 
+import pathlib
+import shutil
+
 import pytest
 
 from repro.core import registry
 from repro.core.report import render_csv, render_result
 from repro.faults import FaultPlan
 from repro.obs import Tracer
-from repro.runner import ExperimentRunner, ResultCache
+from repro.runner import ExperimentRunner, ResultCache, model_tree_hash
 
 CHEAP = ["fig05", "table1"]
+SRC_PACKAGE = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 def _bomb_all_drivers(monkeypatch):
@@ -17,8 +21,8 @@ def _bomb_all_drivers(monkeypatch):
     for exp_id, original in list(registry._REGISTRY.items()):
         def bomb(exp_id=exp_id):
             raise AssertionError(f"driver {exp_id} executed")
-        # Keep the original module so the source fingerprint (and hence
-        # the cache key) is unchanged — only execution must differ.
+        # Keep the original module, as a real driver would have: only
+        # execution must differ.
         bomb.__module__ = original.__module__
         monkeypatch.setitem(registry._REGISTRY, exp_id, bomb)
 
@@ -64,39 +68,50 @@ def test_no_cache_never_stores(tmp_path):
     assert all(not o.from_cache for o in again)
 
 
-def test_driver_source_edit_invalidates(cache, monkeypatch):
-    ExperimentRunner(cache).run(["fig05"])
-    monkeypatch.setattr(
-        "repro.runner.runner.driver_source",
-        lambda exp_id: "# edited\n",
+def _key_on_edited_copy(monkeypatch, tmp_path, rel, old, new):
+    """Key the runner on a copy of the model tree with one file edited."""
+    copy = tmp_path / "repro"
+    shutil.copytree(
+        SRC_PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__")
     )
+    path = copy / rel
+    text = path.read_text()
+    assert old in text, f"{old!r} not in {rel}"
+    path.write_text(text.replace(old, new, 1))
+    tree = model_tree_hash(str(copy))
+    monkeypatch.setattr("repro.runner.runner.model_tree_hash", lambda: tree)
+
+
+def test_driver_source_edit_invalidates(cache, monkeypatch, tmp_path):
+    ExperimentRunner(cache).run(["fig05"])
+    _key_on_edited_copy(monkeypatch, tmp_path, "experiments/fig05_dgemm.py",
+                        "def shape_checks", "# edited\ndef shape_checks")
     runner = ExperimentRunner(cache)
     outcomes = runner.run(["fig05"])
     assert not outcomes[0].from_cache
     assert runner.misses == 1
 
 
-def test_machine_config_swap_invalidates(cache, monkeypatch):
+def test_machine_config_swap_invalidates(cache, monkeypatch, tmp_path):
     ExperimentRunner(cache).run(["fig05"])
-    monkeypatch.setattr(
-        "repro.runner.runner.machine_blob", lambda: '{"other": true}'
-    )
+    _key_on_edited_copy(monkeypatch, tmp_path, "machine/configs.py",
+                        "def xt4", "# recalibrated\ndef xt4")
     outcomes = ExperimentRunner(cache).run(["fig05"])
     assert not outcomes[0].from_cache
 
 
-def test_sweep_change_invalidates(cache, monkeypatch):
+def test_sweep_change_invalidates(cache, monkeypatch, tmp_path):
     ExperimentRunner(cache).run(["fig05"])
-    monkeypatch.setattr(
-        "repro.runner.runner.sweep_blob", lambda: '{"GLOBAL_SWEEP": [1]}'
-    )
+    _key_on_edited_copy(monkeypatch, tmp_path, "experiments/common.py",
+                        "(128, 256, 512, 1024)", "(64, 128, 256, 512, 1024)")
     outcomes = ExperimentRunner(cache).run(["fig05"])
     assert not outcomes[0].from_cache
 
 
-def test_version_bump_invalidates(cache, monkeypatch):
+def test_model_edit_outside_driver_invalidates(cache, monkeypatch, tmp_path):
     ExperimentRunner(cache).run(["fig05"])
-    monkeypatch.setattr("repro.runner.runner.__version__", "999.0.0")
+    _key_on_edited_copy(monkeypatch, tmp_path, "hpcc/dgemm_bench.py",
+                        "HPCC SP/EP DGEMM", "Edited HPCC SP/EP DGEMM")
     outcomes = ExperimentRunner(cache).run(["fig05"])
     assert not outcomes[0].from_cache
 

@@ -24,7 +24,8 @@ def _entry(key=KEY):
     )
     r.add("XT4", [1, 2], [1.0, 2.0])
     return CacheEntry(
-        key=key, exp_id="figX", version="1.0.0", wall_s=0.1, result=r
+        key=key, exp_id="figX", version="1.0.0", wall_s=0.1, result=r,
+        failures=[],
     )
 
 
