@@ -1,7 +1,7 @@
 """simlint: cold whole-program analysis vs warm cache-served re-run.
 
 The lint cache stores per-module summaries keyed on content and findings
-keyed on content plus import closure, so a warm ``repro-lint src/``
+keyed on content plus import closure, so a warm ``repro lint src/``
 re-parses nothing. These benchmarks put a number on that gap and assert
 the zero-parse invariant the CI lint job relies on.
 """
@@ -56,23 +56,23 @@ def test_lint_warm(benchmark, lint_files, tmp_path):
     assert program.stats["findings_hits"] == len(lint_files)
 
 
-def test_warm_cache_serves_sl9_findings_without_parsing(tmp_path):
-    # the SL9xx perf family is interprocedural (process classification,
-    # installer aliases) — make sure enabling it kept the zero-parse
-    # warm-run invariant, findings cache round-trip included
-    files = expand_paths(SCOPE) + ["tests/lint/fixtures/bad_perf.py"]
+def test_warm_cache_serves_sl6_findings_without_parsing(tmp_path):
+    # the SL6xx helper-flow family is interprocedural (process
+    # classification through project helpers) — make sure it keeps the
+    # zero-parse warm-run invariant, findings cache round-trip included
+    files = expand_paths(SCOPE) + ["tests/lint/fixtures/bad_helper_flow.py"]
     cache = LintCache(tmp_path / "cache")
     cold = Program(files, cache=cache)
-    cold_sl9 = [f for f in cold.lint_all() if f.rule.startswith("SL9")]
-    assert cold_sl9  # the seeded fixture fires
+    cold_sl6 = [f for f in cold.lint_all() if f.rule.startswith("SL60")]
+    assert cold_sl6  # the seeded fixture fires
     warm = Program(files, cache=cache)
-    warm_sl9 = [f for f in warm.lint_all() if f.rule.startswith("SL9")]
+    warm_sl6 = [f for f in warm.lint_all() if f.rule.startswith("SL60")]
     assert warm.stats["parsed"] == 0
     assert warm.parsed_paths() == []
     assert warm.stats["findings_hits"] == len(files)
-    assert warm_sl9 == cold_sl9
-    # the SL901 autofix survives the cache round-trip
-    assert any(f.fix is not None for f in warm_sl9)
+    assert warm_sl6 == cold_sl6
+    # the SL60x autofix survives the cache round-trip
+    assert any(f.fix is not None for f in warm_sl6)
 
 
 def test_warm_is_measurably_faster_than_cold(lint_files, tmp_path):

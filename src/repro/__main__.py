@@ -15,6 +15,10 @@ Usage::
     python -m repro race fig08 -k 4                      # schedule-race certify
     python -m repro perf record --exp fig22              # engine profiling
     python -m repro trace summary fig02.trace.json       # trace analysis
+    python -m repro faults show plan.json                # fault-plan authoring
+
+This is the only entry point: each tool in ``PASSTHROUGH`` runs as
+``python -m repro <tool>``.
 """
 
 from __future__ import annotations
@@ -56,7 +60,24 @@ PASSTHROUGH = {
     "race": ("repro.simrace.cli", "certify drivers schedule-invariant"),
     "perf": ("repro.prof.cli", "engine profiling: record/summary/flame/diff"),
     "trace": ("repro.obs.cli", "summarise and compare simulation traces"),
+    "faults": ("repro.faults.cli", "author and inspect fault plans"),
 }
+
+
+def _bad_plan(path: Optional[str], command: str) -> bool:
+    """True, after one line on stderr, when ``--faults PATH`` cannot be
+    loaded; checked before anything runs or is written."""
+    if path is None:
+        return False
+    from repro.faults import FaultPlan
+
+    try:
+        FaultPlan.load(path)
+    except (OSError, ValueError) as exc:
+        print(f"repro {command}: cannot load fault plan {path}: {exc}",
+              file=sys.stderr)
+        return True
+    return False
 
 
 def cmd_list(_args: argparse.Namespace) -> int:
@@ -72,6 +93,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         driver = get_experiment(args.exp_id)
     except UnknownExperimentError as exc:
         print(exc)
+        return 2
+    if _bad_plan(args.faults, "run"):
         return 2
     companion_report = None
     module = importlib.import_module(driver_module(args.exp_id))
@@ -151,6 +174,8 @@ def cmd_all(args: argparse.Namespace) -> int:
         print(exc)
         return 2
 
+    if _bad_plan(args.faults, "all"):
+        return 2
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     trace_dir: Optional[str] = None
@@ -266,6 +291,15 @@ def cmd_all(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in PASSTHROUGH:
+        # Hand the tool its arguments verbatim, so an option in first
+        # position (`repro lint --stats`) reaches the tool's parser.
+        forwarded = argv[1:]
+        if forwarded[:1] == ["--"]:
+            forwarded = forwarded[1:]
+        module = importlib.import_module(PASSTHROUGH[argv[0]][0])
+        return module.main(forwarded)
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate the SC'07 Cray XT4 evaluation's tables and figures.",
@@ -319,13 +353,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     add_faults_flag(p_all)
     for name, (_module, help_text) in PASSTHROUGH.items():
-        p_pass = sub.add_parser(
-            name,
-            help=f"{help_text} "
-            f"(see `repro {name} -- --help` for its options)",
+        # Listed for `repro --help` only: main() dispatches these first.
+        sub.add_parser(
+            name, help=f"{help_text} (see `repro {name} --help`)",
             add_help=False,
         )
-        p_pass.add_argument("passthrough_args", nargs=argparse.REMAINDER)
     p_mach = sub.add_parser("machine", help="inspect or export a machine config")
     p_mach.add_argument("name", nargs="?", default="xt4",
                         help="xt3 | xt3-dc | xt4 | xt4-qc | xt3/4")
@@ -339,12 +371,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return cmd_list(args)
     if args.command == "run":
         return cmd_run(args)
-    if args.command in PASSTHROUGH:
-        forwarded = args.passthrough_args
-        if forwarded and forwarded[0] == "--":
-            forwarded = forwarded[1:]
-        module = importlib.import_module(PASSTHROUGH[args.command][0])
-        return module.main(forwarded)
     if args.command == "machine":
         return cmd_machine(args)
     return cmd_all(args)

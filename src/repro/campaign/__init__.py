@@ -17,8 +17,8 @@ A *campaign* generalizes ``repro all`` into a fault-tolerant sweep over
   to zero extra driver executions and the merged output is
   byte-identical to a serial run (:mod:`repro.campaign.campaign`).
 
-CLI: ``repro campaign run|status|resume|report|list|worker`` (also
-``repro-campaign`` / ``python -m repro.campaign``). See docs/RUNNER.md.
+CLI: ``repro campaign run|status|resume|report|list|worker``. See
+docs/RUNNER.md.
 """
 
 from repro.campaign.campaign import (

@@ -1,4 +1,4 @@
-"""``repro campaign`` / ``repro-campaign`` — crash-tolerant sweeps.
+"""``repro campaign`` — crash-tolerant sweeps.
 
 Subcommands::
 
@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
-import sys
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.campaign.campaign import (
@@ -316,7 +315,7 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="repro-campaign",
+        prog="repro campaign",
         description="Crash-tolerant, resumable experiment campaigns.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -414,7 +413,3 @@ def main(argv: Optional[List[str]] = None) -> int:
         "worker": cmd_worker,
     }[args.command]
     return handler(args)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

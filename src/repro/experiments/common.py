@@ -62,7 +62,7 @@ def add_faults_flag(parser: argparse.ArgumentParser) -> None:
         metavar="PLAN",
         default=None,
         help="inject faults from a JSON fault plan (see docs/RESILIENCE.md; "
-        "author one with `python -m repro.faults sample`)",
+        "author one with `python -m repro faults sample`)",
     )
 
 

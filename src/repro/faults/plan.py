@@ -124,7 +124,18 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "FaultPlan":
-        return cls([FaultEvent.from_dict(e) for e in d.get("events", [])])
+        """Inverse of :meth:`to_dict`. Raises ``ValueError`` unless ``d`` is
+        a version-1 plan with an ``events`` list: a future schema or a
+        typo'd key must not load as a silently fault-free plan."""
+        if not isinstance(d, dict) or d.get("version") != 1:
+            raise ValueError("not a version-1 fault plan")
+        events = d.get("events")
+        if not isinstance(events, list):
+            raise ValueError("fault plan has no 'events' list")
+        try:
+            return cls([FaultEvent.from_dict(e) for e in events])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed fault event: {exc!r}") from exc
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:

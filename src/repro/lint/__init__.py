@@ -21,7 +21,7 @@ the conventions the simulator's correctness rests on:
 
 Those five families stop at function boundaries. The *whole-program*
 pass (:mod:`repro.lint.program`, built on the symbol table and call
-graph in :mod:`repro.lint.callgraph`) adds three interprocedural
+graph in :mod:`repro.lint.callgraph`) adds four interprocedural
 families that see through project-defined helpers:
 
 * ``helper-flow`` (SL601–SL603) — ``yield from`` discipline for
@@ -35,24 +35,17 @@ families that see through project-defined helpers:
   unordered-container iteration feeding the schedule, unsynchronized
   shared writes across process methods, RNG stream aliasing. The
   dynamic counterpart is ``repro race`` (:mod:`repro.simrace`), whose
-  divergence findings surface as rule SL850;
-* ``perf`` (SL901–SL905, :mod:`repro.lint.check_perf`) — the PR-9
-  hot-path invariants: no per-event closures in process functions,
-  ``__slots__`` / flat-heap-tuple contracts, lazy wait descriptions
-  and trace labels, no import-time process-global installation, no
-  linear scans in process loops. Whether each driver actually takes
-  the network fast path is measured, not proven statically: the
-  runtime transfer counters
-  (:func:`repro.network.simnet.transfer_totals`) are checked per
-  driver by the test suite.
+  divergence findings surface as rule SL850.
 
-Run it as ``python -m repro.lint [paths]``, ``repro-lint`` or
-``repro lint``; suppress a deliberate violation with
-``# simlint: ignore[RULE]`` on the offending statement (any line of it)
-or ``# simlint: ignore-file[RULE]`` for a whole module. Mechanical
-violations are repairable with ``--fix`` / ``--fix --write``
-(:mod:`repro.lint.fixes`); adopt new rules over legacy debt with
-``--baseline`` (:mod:`repro.lint.baseline`). Results are cached under
+Hot-path speed is not linted: the benchmarks measure it, and the
+engine's data contracts and the armed network fast path are proven at
+run time by the test suite (see docs/PERFORMANCE.md).
+
+Run it as ``python -m repro lint [paths]``; suppress a deliberate
+violation with ``# simlint: ignore[RULE]`` on the offending statement
+(any line of it) or ``# simlint: ignore-file[RULE]`` for a whole
+module. Mechanical violations are repairable with ``--fix`` /
+``--fix --write`` (:mod:`repro.lint.fixes`). Results are cached under
 ``.repro-cache/lint/`` (:mod:`repro.lint.cache`). Each rule is
 documented in ``docs/LINT.md``.
 """
@@ -79,7 +72,6 @@ from repro.lint import check_resource_safety  # noqa: F401
 from repro.lint import check_units  # noqa: F401
 from repro.lint import check_yieldfrom  # noqa: F401
 from repro.lint import program  # noqa: F401  (interprocedural checkers)
-from repro.lint import check_perf  # noqa: F401  (SL9xx hot-path rules)
 from repro.simrace import rules as _simrace_rules  # noqa: F401  (SL8xx)
 
 from repro.lint.cache import LintCache

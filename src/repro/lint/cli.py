@@ -2,16 +2,14 @@
 
 Usage::
 
-    python -m repro.lint [paths ...]       # default: src/ if it exists, else .
-    python -m repro.lint --list-rules
-    repro-lint src/ tests/ --select yield-from,SL701
-    repro-lint src/ --fix                  # preview autofixes as a diff
-    repro-lint src/ --fix --write          # apply them
-    repro-lint src/ --baseline lint-baseline.json --update-baseline
-    repro-lint src/ --format sarif -o lint.sarif
-    repro lint src/                        # via the main repro CLI
+    python -m repro lint [paths ...]       # default: src/ if it exists, else .
+    python -m repro lint --list-rules
+    python -m repro lint src/ tests/ --select yield-from,SL701
+    python -m repro lint src/ --fix        # preview autofixes as a diff
+    python -m repro lint src/ --fix --write  # apply them
+    python -m repro lint src/ --format sarif -o lint.sarif
 
-Exit status: 0 when clean (or every finding was fixed/baselined),
+Exit status: 0 when clean (or every finding was fixed),
 1 when findings remain, 2 on usage errors, 3 when ``--fix`` refused a
 file that changed on disk after it was parsed (concurrent edit).
 
@@ -27,7 +25,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.lint import baseline as baseline_mod
 from repro.lint.cache import DEFAULT_LINT_CACHE_DIR, LintCache
 from repro.lint.core import (
     DEFAULT_EXCLUDES,
@@ -48,7 +45,7 @@ def _default_paths() -> List[str]:
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro-lint",
+        prog="repro lint",
         description="simulation-correctness static analysis (simlint)",
     )
     parser.add_argument(
@@ -77,14 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--write", action="store_true",
         help="with --fix: apply the autofixes to the files",
-    )
-    parser.add_argument(
-        "--baseline", metavar="FILE",
-        help="suppress findings recorded in this baseline snapshot",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite --baseline FILE from the current findings and exit 0",
     )
     parser.add_argument(
         "--format", choices=FORMATS, default="text", dest="fmt",
@@ -138,24 +127,20 @@ def main(argv: Optional[List[str]] = None) -> int:
         if unknown:
             # A typo'd selector must not silently report "clean".
             print(
-                f"repro-lint: unknown rule/family in --select: "
+                f"repro lint: unknown rule/family in --select: "
                 f"{', '.join(sorted(unknown))} (see --list-rules)",
                 file=sys.stderr,
             )
             return 2
     if args.write and not args.fix:
-        print("repro-lint: --write requires --fix", file=sys.stderr)
-        return 2
-    if args.update_baseline and not args.baseline:
-        print("repro-lint: --update-baseline requires --baseline FILE",
-              file=sys.stderr)
+        print("repro lint: --write requires --fix", file=sys.stderr)
         return 2
 
     excludes = tuple(args.exclude) if args.exclude else DEFAULT_EXCLUDES
     try:
         files = expand_paths(args.paths or _default_paths(), excludes)
     except (FileNotFoundError, NotAPythonFileError) as exc:
-        print(f"repro-lint: {exc}", file=sys.stderr)
+        print(f"repro lint: {exc}", file=sys.stderr)
         return 2
 
     cache = None if args.no_cache else LintCache(args.cache_dir)
@@ -164,29 +149,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if wanted:
         findings = [f for f in findings if f.rule in wanted or f.family in wanted]
-
-    if args.update_baseline:
-        n = baseline_mod.write_baseline(args.baseline, findings)
-        print(f"wrote baseline with {n} finding(s) to {args.baseline}",
-              file=sys.stderr)
-        return 0
-    if args.baseline:
-        try:
-            snapshot = baseline_mod.load_baseline(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"repro-lint: cannot load baseline: {exc}", file=sys.stderr)
-            return 2
-        findings, suppressed, stale = baseline_mod.filter_with_baseline(
-            findings, snapshot
-        )
-        if suppressed or stale:
-            note = f"baseline: {suppressed} finding(s) suppressed"
-            if stale:
-                note += (
-                    f", {stale} entr{'ies' if stale != 1 else 'y'} stale "
-                    f"(debt paid — ratchet with --update-baseline)"
-                )
-            print(note, file=sys.stderr)
 
     if args.stats:
         s = program.stats
@@ -218,9 +180,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         if refused:
             for path in refused:
                 print(
-                    f"repro-lint: {path} changed on disk after it was "
+                    f"repro lint: {path} changed on disk after it was "
                     f"parsed — refusing to clobber the concurrent edit; "
-                    f"re-run repro-lint to fix it",
+                    f"re-run repro lint to fix it",
                     file=sys.stderr,
                 )
             return 3
@@ -243,7 +205,3 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"\nsimlint: {n} finding{'s' if n != 1 else ''}", file=sys.stderr)
         return 1
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -10,7 +10,7 @@ with :func:`register_program`; that is how the interprocedural SL6xx /
 SL7xx / SL304–SL305 rules see through helper calls.
 
 Findings may carry a :class:`Fix`: a list of source edits that
-mechanically repair the violation. ``repro-lint --fix`` previews the
+mechanically repair the violation. ``repro lint --fix`` previews the
 edits as a unified diff and ``--fix --write`` applies them (see
 :mod:`repro.lint.fixes`).
 

@@ -29,7 +29,7 @@ from repro.lint.core import Edit, Finding
 #: this set never carry fixes; the table is the documented contract.
 FIXABLE_RULES = frozenset(
     {"SL101", "SL102", "SL103", "SL104", "SL203", "SL501",
-     "SL601", "SL602", "SL603", "SL801", "SL802", "SL901"}
+     "SL601", "SL602", "SL603", "SL801", "SL802"}
 )
 
 

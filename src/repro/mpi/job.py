@@ -64,7 +64,7 @@ class _CollCtx:
 
     def fire(self) -> None:
         """Scheduled completion callback. A bound method with the combined
-        result stashed on the ctx — not a per-collective closure (SL901)."""
+        result stashed on the ctx — not a per-collective closure."""
         self.event.succeed(self.result)
 
 

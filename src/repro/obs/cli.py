@@ -158,7 +158,3 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"repro trace: {exc}", file=sys.stderr)
         return 2
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

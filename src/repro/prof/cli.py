@@ -1,12 +1,12 @@
-"""``repro-perf``: record, summarise and compare engine profiles.
+"""``repro perf``: record, summarise and compare engine profiles.
 
 Usage::
 
-    repro-perf record --exp fig22 [--out profiles/] [--faults PLAN]
-    repro-perf summary [PROFILE ...] [--top K]
-    repro-perf flame PROFILE [-o OUT.folded]
-    repro-perf diff A.profile.json B.profile.json [--top K] [--fail-over PCT]
-    python -m repro perf record --exp fig22    # same, via the main CLI
+    python -m repro perf record --exp fig22 [--out profiles/] [--faults PLAN]
+    python -m repro perf summary [PROFILE ...] [--top K]
+    python -m repro perf flame PROFILE [-o OUT.folded]
+    python -m repro perf diff A.profile.json B.profile.json [--top K] \\
+        [--fail-over PCT]
 
 ``summary`` with no arguments summarises every ``*.profile.json`` under
 ``profiles/`` (where ``record`` writes by default), so the two-step
@@ -95,7 +95,7 @@ def _failing_phases(a: dict, b: dict, fail_over_pct: float) -> List[str]:
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro-perf",
+        prog="repro perf",
         description="Record and analyse engine (wall-clock) profiles of "
         "the repro discrete-event simulator.",
     )
@@ -138,7 +138,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
     try:
         outcome = record_experiment(args.exp, args.out, faults=args.faults)
     except UnknownExperimentError as exc:
-        print(f"repro-perf: {exc}", file=sys.stderr)
+        print(f"repro perf: {exc}", file=sys.stderr)
         return 2
     note = "" if outcome.had_companion else " (analytic driver, no companion)"
     print(
@@ -158,8 +158,8 @@ def _cmd_summary(args: argparse.Namespace) -> int:
         )
         if not paths:
             print(
-                "repro-perf: no profiles given and none found under "
-                "profiles/ — run `repro-perf record --exp ID` first",
+                "repro perf: no profiles given and none found under "
+                "profiles/ — run `repro perf record --exp ID` first",
                 file=sys.stderr,
             )
             return 2
@@ -210,9 +210,5 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_flame(args)
         return _cmd_diff(args)
     except (OSError, ValueError) as exc:
-        print(f"repro-perf: {exc}", file=sys.stderr)
+        print(f"repro perf: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -70,7 +70,7 @@ def with_timeout(sim, event: Event, timeout_s: float, what: str = ""):
         raise ValueError(f"negative timeout {timeout_s!r}")
     timer = sim.event(name=f"timeout({timeout_s:.9g})")
     # Bound method, not a closure: with_timeout is on the retransmission
-    # hot path and SL901 bans per-event lambda allocation there.
+    # hot path, where a per-event lambda allocation shows in the benchmarks.
     handle = sim.schedule(timeout_s, timer.succeed)
     index, value = yield AnyOf([event, timer])
     if index == 0:

@@ -6,7 +6,6 @@ Usage::
     python -m repro race fig17 fig22 -k 8
     python -m repro race --list
     python -m repro race --format sarif -o race.sarif
-    python -m repro.simrace fig02             # direct module entry point
 
 Exit status: 0 when every certified driver is schedule-invariant, 1 when
 any diverges, 2 on usage errors (unknown experiment ids follow the
@@ -137,7 +136,3 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(rendered, end="" if rendered.endswith("\n") else "\n")
 
     return 0 if all(c.schedule_invariant for c in certs) else 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

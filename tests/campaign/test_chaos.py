@@ -48,7 +48,7 @@ def _config(tmp_path, **kwargs):
 
 def _spawn_worker(campaign, name, env=None):
     cmd = [
-        sys.executable, "-m", "repro.campaign", "worker", campaign.id,
+        sys.executable, "-m", "repro", "campaign", "worker", campaign.id,
         "--root", str(campaign.root), "--name", name,
     ]
     full_env = dict(os.environ)

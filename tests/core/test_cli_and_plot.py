@@ -1,6 +1,8 @@
 """Tests for the CLI and the ASCII plot renderer."""
 
 import importlib
+import subprocess
+import sys
 
 import pytest
 
@@ -106,6 +108,18 @@ def test_passthrough_forwards_args_unchanged(command, monkeypatch):
     # Only the leading ``--`` separator is consumed.
     assert main([command, "--", "--flag", "value", "--", "tail"]) == 7
     assert forwarded == [["--flag", "value", "--", "tail"]]
+
+
+@pytest.mark.parametrize("command", sorted(PASSTHROUGH))
+def test_passthrough_accepts_a_leading_option(command):
+    # An option in first position reaches the tool's own parser: `repro
+    # <sub> --help` is the tool's help, not a top-level usage error.
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", command, "--help"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert f"usage: repro {command}" in proc.stdout
 
 
 def test_ascii_plot_renders_series():

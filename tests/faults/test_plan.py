@@ -82,6 +82,20 @@ def test_plan_dict_roundtrip_preserves_defaults():
     assert FaultPlan.from_dict(d).events == plan.events
 
 
+@pytest.mark.parametrize("doc", [
+    {"version": 99, "events": []},  # a future schema
+    {"version": 1, "evnts": [{"t_s": 1.0, "kind": "node_crash", "node": 0}]},
+    {"events": []},  # no version at all
+    [],  # not an object
+    {"version": 1, "events": [{"kind": "node_crash", "node": 0}]},  # no t_s
+])
+def test_from_dict_rejects_what_is_not_a_v1_plan(doc):
+    # Each of these used to load as an empty, fault-free plan (or raise
+    # a bare KeyError).
+    with pytest.raises(ValueError):
+        FaultPlan.from_dict(doc)
+
+
 # -- sampling -----------------------------------------------------------------
 
 def _sample(**kw):

@@ -1,14 +1,8 @@
-"""Lint cache (warm runs parse nothing, closure invalidation) + baseline."""
+"""Lint cache: warm runs parse nothing, edits invalidate the closure."""
 
-import json
 from pathlib import Path
 
 from repro.lint import LintCache, Program, lint_paths
-from repro.lint.baseline import (
-    filter_with_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.lint.core import expand_paths
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -101,60 +95,6 @@ def test_lint_paths_ignores_cache_misconfiguration(tmp_path):
     target = tmp_path / "clean.py"
     target.write_text("VALUE = 3\n")
     assert lint_paths([target]) == []
-
-
-# -- baseline -----------------------------------------------------------------
-
-def _findings(tmp_path):
-    target = tmp_path / "bad_units.py"
-    target.write_text((FIXTURES / "bad_units.py").read_text())
-    return Program([str(target)]).lint_all()
-
-
-def test_baseline_round_trip_suppresses_everything(tmp_path):
-    findings = _findings(tmp_path)
-    assert findings
-    snap = tmp_path / "baseline.json"
-    n = write_baseline(snap, findings)
-    assert n == len(findings)
-    kept, suppressed, stale = filter_with_baseline(findings, load_baseline(snap))
-    assert kept == [] and suppressed == len(findings) and stale == 0
-
-
-def test_baseline_survives_line_number_churn(tmp_path):
-    findings = _findings(tmp_path)
-    snap = tmp_path / "baseline.json"
-    write_baseline(snap, findings)
-    # prepend two lines: every finding moves, fingerprints must hold
-    target = tmp_path / "bad_units.py"
-    target.write_text("# moved\n# moved again\n" + target.read_text())
-    moved = Program([str(target)]).lint_all()
-    kept, suppressed, _ = filter_with_baseline(moved, load_baseline(snap))
-    assert kept == [] and suppressed == len(moved)
-
-
-def test_baseline_reports_stale_entries_and_new_findings(tmp_path):
-    findings = _findings(tmp_path)
-    snap = tmp_path / "baseline.json"
-    write_baseline(snap, findings[:-1])  # one finding is NOT baselined
-    kept, suppressed, stale = filter_with_baseline(
-        findings, load_baseline(snap)
-    )
-    assert len(kept) == 1 and suppressed == len(findings) - 1 and stale == 0
-    # now pay all the debt: every entry goes stale
-    kept, suppressed, stale = filter_with_baseline([], load_baseline(snap))
-    assert kept == [] and suppressed == 0 and stale == len(findings) - 1
-
-
-def test_baseline_schema_is_versioned(tmp_path):
-    snap = tmp_path / "baseline.json"
-    snap.write_text(json.dumps({"schema": 99, "entries": {}}))
-    try:
-        load_baseline(snap)
-    except ValueError as exc:
-        assert "schema" in str(exc)
-    else:  # pragma: no cover
-        raise AssertionError("expected a schema error")
 
 
 def test_expand_paths_excludes_fixture_dirs_by_default():

@@ -3,8 +3,9 @@
 Every registered driver runs once through ``ExperimentRunner(None)`` and
 its ``RunOutcome.net`` transfer totals are the ground truth: no observer
 is installed on a plain run, so the network-simulating drivers must
-complete fast transfers and every analytic driver must send none. SL904
-still catches import-time installers statically.
+complete fast transfers and every analytic driver must send none.
+``tests/test_import_side_effects.py`` proves that importing any module
+installs no observer that would disarm the fast path.
 """
 
 import importlib

@@ -155,7 +155,7 @@ def _run_cli(*args, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(root / "src") + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
-        [sys.executable, "-m", "repro.lint", *args],
+        [sys.executable, "-m", "repro", "lint", *args],
         capture_output=True,
         text=True,
         cwd=cwd or root,

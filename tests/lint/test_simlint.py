@@ -130,7 +130,7 @@ def _run_cli(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(root / "src") + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
-        [sys.executable, "-m", "repro.lint", *args],
+        [sys.executable, "-m", "repro", "lint", *args],
         capture_output=True,
         text=True,
         cwd=root,

@@ -124,14 +124,11 @@ def test_matching_rules_expands_prefix():
     assert got == {"SL801", "SL802", "SL803", "SL804", "SL850"}
     assert matching_rules("SL80") == {"SL801", "SL802", "SL803", "SL804"}
     assert matching_rules("bogus") == set()
-    assert matching_rules("SL9") == {
-        "SL901", "SL902", "SL903", "SL904", "SL905",
-    }
 
 
 def _run_cli(*args, cwd=None):
     return subprocess.run(
-        [sys.executable, "-m", "repro.lint", *args],
+        [sys.executable, "-m", "repro", "lint", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
@@ -154,26 +151,6 @@ def test_cli_select_unknown_prefix_exits_2(tmp_path):
     proc = _run_cli(str(target), "--select", "SL99", "--no-cache")
     assert proc.returncode == 2
     assert "unknown rule/family" in proc.stderr
-
-
-def test_cli_select_sl8_baseline_ratchet(tmp_path):
-    target = tmp_path / "mod.py"
-    target.write_text(FIXTURE.read_text(), encoding="utf-8")
-    baseline = tmp_path / "baseline.json"
-    cache = str(tmp_path / "cache")
-    first = _run_cli(str(target), "--select", "SL8", "--baseline",
-                     str(baseline), "--update-baseline", "--cache-dir", cache)
-    assert first.returncode == 0
-    # With the debt baselined, a SL8-selected run is clean...
-    second = _run_cli(str(target), "--select", "SL8", "--baseline",
-                      str(baseline), "--cache-dir", cache)
-    assert second.returncode == 0, second.stdout + second.stderr
-    # ...and paying the debt makes the baseline entries stale.
-    target.write_text("x = 1\n", encoding="utf-8")
-    third = _run_cli(str(target), "--select", "SL8", "--baseline",
-                     str(baseline), "--cache-dir", cache)
-    assert third.returncode == 0
-    assert "stale" in third.stderr
 
 
 def test_sl8_findings_round_trip_through_lint_cache(tmp_path):

@@ -11,9 +11,9 @@ from repro.simrace.formats import render_certificates
 REPO = Path(__file__).resolve().parents[2]
 
 
-def _run(*args, module="repro.simrace"):
+def _run(*args, module="repro race"):
     return subprocess.run(
-        [sys.executable, "-m", module, *args],
+        [sys.executable, "-m", *module.split(), *args],
         capture_output=True,
         text=True,
         cwd=REPO,
