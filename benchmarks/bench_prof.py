@@ -1,27 +1,33 @@
 """Profiler overhead benchmarks: profiling must be pay-for-what-you-use.
 
-``Simulator(profile=None)`` — the default — must run the original,
-untouched event loop: the only cost the profiler PR added to unprofiled
-runs is a handful of ``is None`` checks at scheduling sites. The
-benchmarks below track both sides of that contract:
+The engine has one run loop; with no profiler installed — the default —
+it pays one ``is None`` check per event, and the engine carries no
+probes. The benchmarks below track both sides of that contract:
 
 * the unprofiled event loop (regression-tracked by pytest-benchmark and
   by ``benchmarks/compare.py``'s ``event_loop_100k`` entry, whose ±20%
   gate against the recorded baseline is the pre-PR-noise assertion);
-* the profiled loop, so the profiler's own cost stays visible;
+* the profiled loop (sampler armed, per-event counts on), so the
+  profiler's own cost stays visible;
 * a direct ratio check that the unprofiled loop is not paying the
-  profiled loop's per-event clock reads.
+  profiled loop's per-event bookkeeping.
 """
 
+import inspect
 import time
 
+from repro.prof import installed_profiler
 from repro.simengine import Delay, Simulator
+from repro.simengine.queue import _Entry
 
 _N = 20_000
 
 
-def _event_loop(profile) -> float:
-    sim = Simulator(profile=profile)
+def _event_loop(profile: bool) -> float:
+    if profile:
+        with installed_profiler():
+            return _event_loop(False)
+    sim = Simulator()
 
     def ticker():
         for _ in range(_N):
@@ -32,7 +38,7 @@ def _event_loop(profile) -> float:
 
 
 def test_event_loop_unprofiled(benchmark):
-    assert benchmark(lambda: _event_loop(None)) == float(_N)
+    assert benchmark(lambda: _event_loop(False)) == float(_N)
 
 
 def test_event_loop_profiled(benchmark):
@@ -49,15 +55,15 @@ def _median_wall(workload, repeats: int = 5) -> float:
 
 
 def test_unprofiled_loop_within_noise_of_profiled_floor():
-    """The profile=None loop must not pay the profiler's per-event cost.
+    """The unprofiled loop must not pay the profiler's per-event cost.
 
-    The profiled loop adds two clock reads plus attribution dicts per
-    event, so the unprofiled loop should be measurably at or below it;
+    The profiled loop records every event and folds the records into
+    counts, so the unprofiled loop should be measurably at or below it;
     the generous margin keeps this robust on loaded CI machines while
     still catching an accidentally always-on instrumentation path
     (which would make the two loops run the same code).
     """
-    off = _median_wall(lambda: _event_loop(None))
+    off = _median_wall(lambda: _event_loop(False))
     on = _median_wall(lambda: _event_loop(True))
     assert off <= on * 1.25, (
         f"unprofiled loop ({off*1e3:.1f} ms) slower than profiled "
@@ -66,12 +72,16 @@ def test_unprofiled_loop_within_noise_of_profiled_floor():
 
 
 def test_unprofiled_simulator_has_no_profiler_state():
-    """Structural form of pay-for-what-you-use: no profiler reachable."""
-    sim = Simulator()
-    assert sim.prof is None
-    assert sim._queue.prof is None
-    handle = sim.schedule(1.0, lambda: None)
-    assert handle.label is None
+    """Structural form of pay-for-what-you-use: queue entries carry no
+    profiler field, and no simulator takes a profiling knob — the
+    installed profiler is the only way in."""
+    assert _Entry.__slots__ == (
+        "time", "seq", "parent", "callback", "cancelled"
+    )
+    assert list(inspect.signature(Simulator).parameters) == [
+        "sanitize", "tracer"
+    ]
+    assert Simulator().prof is None
 
 
 def test_profiled_driver_bench_records_phase_breakdown():

@@ -15,9 +15,9 @@ against a recorded baseline". This script is that baseline's keeper:
   ratchet with ``--update``).
 
 Schema 2 baselines also store an **engine-phase breakdown** per
-benchmark (from one extra run under :class:`repro.prof.EngineProfiler`
-— the timing loop itself always runs with profiling off, so ``best_s``
-is the unprofiled engine). Phases are compared with their own, looser
+benchmark (sampled wall time from one extra run under
+:func:`repro.prof.installed_profiler` — the timing loop itself always
+runs with profiling off, so ``best_s`` is the unprofiled engine). Phases are compared with their own, looser
 ``--phase-tolerance`` gate (percentage noise on a sub-millisecond phase
 means nothing, so phases under ``PHASE_FLOOR_S`` are exempt): the
 trajectory then shows not just *that* the engine got faster but *which
@@ -161,13 +161,14 @@ Record = Dict[str, Any]
 
 
 def _profile_phases(workload: Callable[[], float]) -> Dict[str, float]:
-    """Engine-phase self times (seconds) from one profiled run.
+    """Sampled engine-phase self times (seconds) from one profiled run.
 
-    Also records ``bench.host``: profiled wall time *not* attributed to
-    any engine phase — driver-side analytic work (POP decomposition
-    search, model evaluation, plotting math). Purely analytic benchmarks
-    previously recorded an empty ``phases`` dict, which made the
-    ``--phase-tolerance`` gate vacuously green for them.
+    Also records ``bench.host``: profiled wall time minus the sampled
+    engine time — driver-side analytic work (POP decomposition search,
+    model evaluation, plotting math) and the profiler's own cost.
+    Purely analytic benchmarks previously recorded an empty ``phases``
+    dict, which made the ``--phase-tolerance`` gate vacuously green for
+    them.
     """
     from repro.prof import EngineProfiler, installed_profiler
 
@@ -176,12 +177,9 @@ def _profile_phases(workload: Callable[[], float]) -> Dict[str, float]:
     with installed_profiler(prof):
         workload()
     wall_ns = (time.perf_counter() - t0) * 1e9  # simlint: ignore[SL201] — benchmark harness
-    phases = {
-        name: round(ns / 1e9, 6)
-        for name, ns in sorted(prof.phase_self_ns.items())
-    }
+    phases = {name: round(ns / 1e9, 6) for name, ns in prof.phases.items()}
     phases["bench.host"] = round(
-        max(0.0, wall_ns - prof.attributed_ns) / 1e9, 6
+        max(0.0, wall_ns - prof.run_wall_ns) / 1e9, 6
     )
     return phases
 
@@ -232,7 +230,7 @@ def write_baseline(
     doc = {
         "schema": SCHEMA,
         "units": "seconds (best of repeats, wall clock); phases are "
-        "engine-phase self seconds from one profiled run",
+        "sampled engine-phase self seconds from one profiled run",
         "repeats": repeats,
         "note": (
             "perf trajectory for the simengine hot-path rewrite "

@@ -45,6 +45,7 @@ from repro.experiments.common import (
     add_faults_flag,
     add_trace_flag,
     faults_from,
+    run_companion,
     tracing_to,
 )
 
@@ -102,9 +103,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             tracing_to(args.trace, exp_id=args.exp_id) as tracer:
         result = driver()
         if tracer is not None:
-            companion = getattr(module, "des_companion", None)
-            if companion is not None:
-                companion_report = companion()
+            companion_report = run_companion(args.exp_id)
     print(render_result(result))
     if args.plot:
         print(render_ascii_plot(result, logx=args.logx))

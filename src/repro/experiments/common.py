@@ -8,6 +8,7 @@ managers, so it imports no model at the top: a warm ``repro all`` and
 from __future__ import annotations
 
 import argparse
+import importlib
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Optional, Tuple
 
@@ -81,6 +82,21 @@ def faults_from(path: Optional[str]) -> Iterator[Optional[Any]]:
     plan = FaultPlan.load(str(path))
     with installed_plan(plan):
         yield plan
+
+
+def run_companion(exp_id: str) -> Optional[str]:
+    """Run the ``des_companion`` of ``exp_id``'s driver module, if it has
+    one, and return its report (``None`` when it has none).
+
+    Several figure drivers are analytic closed-form sweeps whose DES
+    activity lives in the companion, so whatever traces, profiles or
+    certifies a driver runs its companion right after it.
+    """
+    from repro.core.registry import driver_module
+
+    module = importlib.import_module(driver_module(exp_id))
+    companion = getattr(module, "des_companion", None)
+    return None if companion is None else companion()
 
 
 @contextmanager

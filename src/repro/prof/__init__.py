@@ -5,13 +5,13 @@ package answers "where does the *host's wall-clock* time go while the
 engine runs?" — the instrument the ROADMAP hot-path rewrite is judged
 against. Two coordinated halves:
 
-* :class:`EngineProfiler` — low-overhead wall-clock attribution per
-  event kind, per callsite (scheduling parent from the simrace
-  bookkeeping) and per engine subsystem (queue ops, wait/wake, resource
-  arbitration, store traffic), attached via ``Simulator(profile=...)``
-  or process-wide with :func:`install_profiler` / :func:`installed_profiler`.
-  Off by default: unprofiled runs keep the original run loop and pay
-  only ``is None`` checks.
+* :class:`EngineProfiler` — sampled wall-clock attribution per engine
+  phase (queue, wait/wake, resource arbitration, store traffic), event
+  kind, callsite and scheduling edge, plus exact per-event counts.
+  :func:`installed_profiler` is the only way in: it installs the
+  profiler that new simulators pick up and arms the wall-clock sampler
+  for a ``with`` block. Off by default: unprofiled runs pay one
+  ``is None`` check per event.
 * a sim-time :class:`~repro.prof.metrics.MetricsRegistry` — fixed-bucket
   histograms (event-queue depth, ready-set size), gauges (link
   utilization) and sampled series riding the obs counter plumbing; its
@@ -30,16 +30,12 @@ from repro.prof.export import (
     load_profile,
     profile_dict,
     write_artifacts,
-    write_folded,
-    write_profile,
 )
 from repro.prof.metrics import POW2_BUCKETS, Gauge, Histogram, MetricsRegistry
 from repro.prof.profiler import (
     EngineProfiler,
     current_profiler,
-    install_profiler,
     installed_profiler,
-    uninstall_profiler,
 )
 from repro.prof.record import RecordOutcome, record_experiment
 
@@ -52,13 +48,9 @@ __all__ = [
     "PROFILE_SCHEMA",
     "RecordOutcome",
     "current_profiler",
-    "install_profiler",
     "installed_profiler",
     "load_profile",
     "profile_dict",
     "record_experiment",
-    "uninstall_profiler",
     "write_artifacts",
-    "write_folded",
-    "write_profile",
 ]

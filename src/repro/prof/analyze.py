@@ -13,27 +13,26 @@ __all__ = [
     "attribution_coverage",
     "diff_phase_rows",
     "edge_rows",
-    "kind_rows",
     "phase_rows",
     "site_rows",
 ]
 
 
 def attribution_coverage(profile: dict) -> float:
-    """Fraction of measured run wall time attributed to named phases.
+    """Fraction of the profiled wall time that samples attributed.
 
-    By construction of the mark-chain accounting this is ~1.0 (the only
-    unattributed time is the final ``end_run`` bookkeeping) — the
-    acceptance bar is ≥0.95.
+    Engine plus host samples over the wall time the sampler was armed;
+    the rest is the sampler's own cost. A profile with no samples
+    attributed nothing: 0.0.
     """
-    wall = profile["engine"]["run_wall_ns"]
-    if wall <= 0:
-        return 1.0
-    return min(1.0, profile["engine"]["attributed_ns"] / wall)
+    eng = profile["engine"]
+    if eng["samples"] <= 0 or eng["wall_ns"] <= 0:
+        return 0.0
+    return min(1.0, (eng["run_wall_ns"] + eng["host_ns"]) / eng["wall_ns"])
 
 
 def phase_rows(profile: dict, top: Optional[int] = None) -> List[dict]:
-    """Engine phases by self time, with percent-of-run attribution."""
+    """Engine phases by sampled self time, with percent of engine time."""
     wall = profile["engine"]["run_wall_ns"] or 1
     rows = [
         {
@@ -68,12 +67,6 @@ def _ns_count_rows(
     if top is not None:
         rows = rows[:top]
     return rows
-
-
-def kind_rows(profile: dict, top: Optional[int] = None) -> List[dict]:
-    """Event kinds (proc.delay, engine.callback, ...) by inclusive time."""
-    wall = profile["engine"]["run_wall_ns"] or 1
-    return _ns_count_rows(profile["kinds"], "kind", wall, top)
 
 
 def site_rows(profile: dict, top: Optional[int] = None) -> List[dict]:

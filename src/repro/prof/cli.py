@@ -48,6 +48,7 @@ def render_summary(profile: dict, top: int = 10, label: str = "") -> str:
         f"== engine profile{': ' + label if label else ''} ==\n"
         f"engine wall: {eng['run_wall_ns'] / 1e6:.3f} ms   "
         f"events: {eng['events']}   sims: {eng['sims']}   "
+        f"samples: {eng['samples']}   "
         f"attributed: {100.0 * coverage:.1f}%"
         + (f"   [{meta}]" if meta else "")
     ]
@@ -82,14 +83,19 @@ def render_diff(a: dict, b: dict, top: int = 10) -> str:
 
 
 def _failing_phases(a: dict, b: dict, fail_over_pct: float) -> List[str]:
-    """Phase names that slowed A→B beyond the threshold (and the floor)."""
+    """Phase names that slowed A→B beyond the threshold (and the floor).
+
+    A phase under the floor in A — possibly one no sample landed on —
+    is measured against the floor instead.
+    """
     failing = []
     for row in diff_phase_rows(a, b):
         if row["a_ms"] < FAIL_OVER_FLOOR_MS and row["b_ms"] < FAIL_OVER_FLOOR_MS:
             continue
-        if row["delta_%"] == "-" or row["delta_%"] <= fail_over_pct:
-            continue
-        failing.append(f"{row['phase']} (+{row['delta_%']}%)")
+        base = max(row["a_ms"], FAIL_OVER_FLOOR_MS)
+        pct = round(100.0 * row["delta_ms"] / base, 2)
+        if pct > fail_over_pct:
+            failing.append(f"{row['phase']} (+{pct}%)")
     return failing
 
 
@@ -143,6 +149,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
     note = "" if outcome.had_companion else " (analytic driver, no companion)"
     print(
         f"profiled {args.exp}: {outcome.events} events, "
+        f"{outcome.samples} samples, "
         f"{outcome.run_wall_ns / 1e6:.3f} ms engine{note}"
     )
     for path in outcome.paths:

@@ -3,15 +3,17 @@
 One recorded experiment produces three sibling files:
 
 ``<exp>.profile.json``
-    The full engine profile (schema-tagged): wall-time attribution per
-    phase / event kind / callsite / scheduling edge, collapsed stacks,
-    and a ``deterministic`` section that depends only on the simulation
-    (counts and stack paths — byte-identical across runs).
+    The full engine profile (schema-tagged): sampled wall time per phase
+    / event kind / callsite / scheduling edge, collapsed stacks, the
+    sample count and interval, and a ``deterministic`` section that
+    depends only on the simulation (counts and stack paths —
+    byte-identical across runs).
 ``<exp>.folded``
     Collapsed stacks in the ``flamegraph.pl`` input format — one
-    ``path;segments value`` line per stack, value in nanoseconds of self
-    time. Feed straight to Brendan Gregg's ``flamegraph.pl`` (or any
-    compatible renderer, e.g. speedscope's "collapsed" importer).
+    ``path;segments value`` line per stack, value in nanoseconds of
+    sampled self time. Feed straight to Brendan Gregg's
+    ``flamegraph.pl`` (or any compatible renderer, e.g. speedscope's
+    "collapsed" importer).
 ``<exp>.metrics.json``
     The sim-time metrics registry (queue-depth / ready-set histograms,
     link-utilization gauges, sampled series) — fully deterministic.
@@ -23,25 +25,18 @@ import json
 import pathlib
 from typing import Any, Dict, List, Optional
 
-from repro.prof.profiler import EngineProfiler
+from repro.prof.profiler import SAMPLE_INTERVAL_S, EngineProfiler
 
 __all__ = [
     "PROFILE_SCHEMA",
     "load_profile",
     "profile_dict",
     "write_artifacts",
-    "write_folded",
-    "write_profile",
 ]
 
-PROFILE_SCHEMA = 1
-
-
-def _ns_count(ns: Dict[str, int], counts: Dict[str, int]) -> dict:
-    return {
-        name: {"ns": ns[name], "count": counts.get(name, 0)}
-        for name in sorted(ns)
-    }
+#: 2: sampled wall time (``engine.samples``, ``engine.interval_ns``);
+#: schema-1 profiles came from probes and do not compare with these.
+PROFILE_SCHEMA = 2
 
 
 def profile_dict(
@@ -53,19 +48,25 @@ def profile_dict(
         "meta": dict(sorted((meta or {}).items())),
         "engine": {
             "run_wall_ns": prof.run_wall_ns,
-            "attributed_ns": prof.attributed_ns,
+            "host_ns": prof.host_ns,
+            "wall_ns": prof.wall_ns,
+            "samples": prof.samples,
+            "interval_ns": round(SAMPLE_INTERVAL_S * 1e9),
             "events": prof.events,
             "sims": prof.sims,
-            "runs": prof.runs,
             "cancels": prof.cancels,
         },
         "phases": {
-            name: {"self_ns": prof.phase_self_ns[name]}
-            for name in sorted(prof.phase_self_ns)
+            name: {"self_ns": ns} for name, ns in prof.phases.items()
         },
-        "kinds": _ns_count(prof.kind_ns, prof.kind_counts),
-        "sites": _ns_count(prof.site_ns, prof.site_counts),
-        "edges": _ns_count(prof.edge_ns, prof.edge_counts),
+        **{
+            table: {
+                name: {"ns": ns, "count": n}
+                for name, (ns, n) in prof.totals(field).items()
+            }
+            for table, field in (("kinds", "kind"), ("sites", "site"),
+                                 ("edges", "edge"))
+        },
         "stacks": {
             path: prof.stack_self_ns[path]
             for path in sorted(prof.stack_self_ns)
@@ -74,27 +75,9 @@ def profile_dict(
     }
 
 
-def write_profile(
-    prof: EngineProfiler,
-    path: str,
-    meta: Optional[Dict[str, Any]] = None,
-) -> None:
-    """Write the profile JSON artifact."""
-    doc = profile_dict(prof, meta)
-    pathlib.Path(path).write_text(
-        json.dumps(doc, sort_keys=True, indent=1) + "\n"
-    )
-
-
 def folded_lines(stacks: Dict[str, int]) -> List[str]:
     """``flamegraph.pl`` collapsed-stack lines, sorted for determinism."""
     return [f"{path} {value}" for path, value in sorted(stacks.items())]
-
-
-def write_folded(prof: EngineProfiler, path: str) -> None:
-    """Write the collapsed-stack flamegraph input file."""
-    lines = folded_lines(prof.stack_self_ns)
-    pathlib.Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
 def write_artifacts(
@@ -110,13 +93,20 @@ def write_artifacts(
     """
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    profile_path = out / f"{stem}.profile.json"
-    folded_path = out / f"{stem}.folded"
-    metrics_path = out / f"{stem}.metrics.json"
-    write_profile(prof, str(profile_path), meta)
-    write_folded(prof, str(folded_path))
-    metrics_path.write_text(prof.metrics.to_json())
-    return [str(profile_path), str(folded_path), str(metrics_path)]
+    lines = folded_lines(prof.stack_self_ns)
+    texts = {
+        "profile.json": json.dumps(
+            profile_dict(prof, meta), sort_keys=True, indent=1
+        ) + "\n",
+        "folded": "\n".join(lines) + ("\n" if lines else ""),
+        "metrics.json": prof.metrics.to_json(),
+    }
+    paths = []
+    for suffix, text in texts.items():
+        path = out / f"{stem}.{suffix}"
+        path.write_text(text)
+        paths.append(str(path))
+    return paths
 
 
 def load_profile(path: str) -> dict:

@@ -57,16 +57,16 @@ class Histogram:
         self.n = 0
         self.sum = 0.0
 
-    def observe(self, value: float) -> None:
-        """Count one observation of ``value``.
+    def observe(self, value: float, times: int = 1) -> None:
+        """Count ``times`` observations of ``value``.
 
         Bucket ``i`` collects values in ``(edges[i-1], edges[i]]``; the
         final bucket is the overflow above the last edge.
         """
         idx = bisect_left(self.edges, float(value))
-        self.counts[idx] += 1
-        self.n += 1
-        self.sum += float(value)
+        self.counts[idx] += times
+        self.n += times
+        self.sum += float(value) * times
 
     def to_dict(self) -> dict:
         return {

@@ -1,310 +1,406 @@
-"""Low-overhead wall-clock attribution of simulator execution.
+"""Sampled wall-clock attribution of simulator execution.
 
 # simlint: ignore-file[SL201] — this module *is* the wall-clock
 # instrument: every ``perf_counter_ns`` read here measures the host cost
 # of the engine, never simulated time.
 
 The :class:`EngineProfiler` answers "where does the *host's* wall time
-go while the discrete-event engine runs?" — the question the ROADMAP-1
-hot-path rewrite must be able to answer before touching anything. It is
-the simulator-of-the-simulator instrument in the sense of Cornebize &
-Legrand's calibration loop: you cannot make a simulator faithful *and*
-fast without profiling the simulator itself.
+go while the discrete-event engine runs?" — the simulator-of-the-
+simulator instrument of Cornebize & Legrand's calibration loop. The
+engine carries no probes; two halves live here:
 
-Attribution model (contiguous-mark self-time accounting):
-
-* The profiled run loop (``Simulator._run_profiled``) calls
-  :meth:`begin_event` / :meth:`end_event` around every dispatched queue
-  entry. The gap between two events — heap pop, peek, loop bookkeeping —
-  is attributed to the ``engine.queue`` phase, so **every nanosecond
-  between the first and last mark of a run is attributed somewhere**
-  (the ≥95%-named-subsystems property is structural, not statistical).
-* Instrumented engine internals (resource arbitration, store put/get,
-  event wake fan-out, queue pushes) bracket themselves with
-  :meth:`push_phase` / :meth:`pop_phase`; self time splits exactly at
-  the probe boundaries, like a sampling profiler with perfect samples.
-* Each queue entry carries an optional ``(kind, owner)`` **label** set
-  by its creation site (process step, delay wakeup, scheduled callback)
-  — only when a profiler is attached, so unprofiled runs never build
-  labels. The scheduling-parent bookkeeping added for the simrace work
-  (``entry.parent``) links every event to the event that scheduled it,
-  which yields collapsed **ancestry stacks** (flamegraph.pl-compatible)
-  and a parent→child edge table.
-
-Cost discipline: with no profiler attached (the default), the engine
-pays exactly one ``is None`` check per instrumentation site — the same
-contract as the obs tracer. With a profiler attached, each event costs
-two ``perf_counter_ns`` reads plus a handful of dict operations.
-
-Process-global installation mirrors the tracer: :func:`install_profiler`
-/ :func:`installed_profiler` make a profiler reach simulators
-constructed deep inside experiment drivers (the ``repro perf record``
-path).
+* **Sampled wall time.** :func:`installed_profiler` arms a ``SIGALRM``
+  interval timer. Each sample walks the interrupted stack to the
+  innermost function of :data:`_PHASE_OF_CODE` (resource arbitration,
+  store traffic, the event wake fan-out, the run loop itself) and
+  charges it the wall time since the previous sample. A sample in an
+  event callback outside those subsystems goes to the event's kind, and
+  every sample in a callback also goes to the event's site, scheduling
+  edge and ancestry path. A sample with no ``Simulator.run`` frame on
+  the stack is host time. A phase with *n* samples is known to about
+  ``1/sqrt(n)``.
+* **Deterministic counts.** The run loop calls :meth:`on_event` once per
+  dispatched event. It names the event by its callback — a process's
+  start, delay wakeup, bare-``yield`` reschedule, interrupt or
+  empty-barrier resume, else an ``engine.callback`` named by its
+  tie-break key or the callback's qualified name — and links it to the
+  event that scheduled it (``entry.parent``, the simrace bookkeeping):
+  kind, site and edge counts, collapsed ancestry stacks
+  (flamegraph.pl-compatible) and the sim-time metrics, byte-stable run
+  to run.
 """
 
 from __future__ import annotations
 
 import re
+import signal
+import threading
+from collections import Counter
 from contextlib import contextmanager
 from time import perf_counter_ns
+from types import CodeType, FrameType
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from repro.prof.metrics import POW2_BUCKETS, MetricsRegistry
+from repro.simengine.event import Event
+from repro.simengine.process import Process
+from repro.simengine.resource import Resource, Store
+from repro.simengine.simulator import Simulator
 
 __all__ = [
     "EngineProfiler",
+    "SAMPLE_INTERVAL_S",
     "current_profiler",
-    "install_profiler",
+    "frame_phase",
     "installed_profiler",
-    "uninstall_profiler",
 ]
 
-#: Collapse owner names into stable groups: ``rank17`` → ``rank*``,
-#: ``xfer 3->5`` → ``xfer *->*`` — attribution wants the *site*, not the
-#: instance, and bounded-cardinality keys keep profiles small.
+#: Wall-clock sampling period: 4 kHz, ~40 samples for a 10 ms companion
+#: run. ``ITIMER_REAL`` keeps this resolution where ``ITIMER_PROF`` tops
+#: out near 250 Hz. Each sample costs tens of microseconds of signal
+#: delivery and stack walk, so a finer period buys little accuracy for
+#: much overhead.
+SAMPLE_INTERVAL_S = 0.00025
+
+#: Dispatched events between two points of the queue-depth time series.
+_DEPTH_SERIES_EVERY = 64
+
+#: Logged values past which a sample folds the log into the metrics.
+_LOG_LIMIT = 1 << 16
+
+#: Owner names collapse to sites: ``rank17`` → ``rank*``.
 _DIGITS = re.compile(r"\d+")
 
-#: Ancestry stacks deeper than this reuse the parent's path (the chain
-#: is already self-recursive by then; flamegraphs stay readable).
+#: Ancestry stacks deeper than this reuse the parent's path.
 _MAX_STACK_SEGMENTS = 24
 
+#: Engine functions a sample is charged to when innermost on the stack.
+#: ``Simulator.run`` is the outermost: its own frame is queue time.
+_PHASE_OF_CODE: Dict[CodeType, str] = {
+    Resource.request.__code__: "resource.request",
+    Resource.release.__code__: "resource.release",
+    Store.put.__code__: "store.put",
+    Store.get.__code__: "store.get",
+    Event._dispatch.__code__: "event.wake",
+    Simulator.run.__code__: "engine.queue",
+}
+_RUN_CODE = Simulator.run.__code__
 
-def _normalize(owner: str) -> str:
-    return _DIGITS.sub("*", owner)
+#: Process wakeup methods → event kind.
+_PROC_METHODS = {
+    Process._start: "proc.start",
+    Process._resume_wakeup: "proc.delay",
+    Process._resume_yield: "proc.yield",
+}
+
+#: The lambdas ``Process`` schedules → (event kind, index of the closure
+#: cell holding the process).
+_PROC_LAMBDAS: Dict[CodeType, Tuple[str, int]] = {
+    code: (kind, code.co_freevars.index("self"))
+    for func, kind in ((Process.interrupt, "proc.interrupt"),
+                       (Process._wait_all, "proc.resume"))
+    for code in func.__code__.co_consts
+    if isinstance(code, CodeType) and code.co_name == "<lambda>"
+}
+
+
+def _label(callback: Any, key: str) -> Tuple[str, str]:
+    """``(kind, owner)`` of a callback that is not a process method."""
+    lam = _PROC_LAMBDAS.get(getattr(callback, "__code__", None))
+    if lam is not None:
+        return lam[0], callback.__closure__[lam[1]].cell_contents.name
+    return "engine.callback", key or getattr(
+        callback, "__qualname__", type(callback).__name__
+    ).replace("<locals>.", "")
+
+
+def frame_phase(frame: Optional[FrameType]) -> Optional[str]:
+    """The phase of a sample taken at ``frame``: the innermost
+    :data:`_PHASE_OF_CODE` function on the stack; ``""`` inside an event
+    callback outside every subsystem (the event's kind); ``None`` with no
+    ``Simulator.run`` on the stack (host time)."""
+    phase = None
+    f = frame
+    while f is not None:
+        code = f.f_code
+        if code is _RUN_CODE:
+            if phase is not None:
+                return phase
+            return "engine.queue" if f is frame else ""
+        if phase is None:
+            phase = _PHASE_OF_CODE.get(code)
+        f = f.f_back
+    return None
 
 
 class EngineProfiler:
-    """Collects engine wall-time attribution and sim-time metrics.
+    """Sampled engine wall time and deterministic event counts.
 
-    All ``*_ns`` aggregates are host-clock nanoseconds and therefore
-    vary run to run; everything under :attr:`metrics` and
-    :meth:`deterministic_dict` is a function of the simulation alone and
-    is byte-stable (tested in ``tests/prof/test_determinism.py``).
+    ``*_ns`` values are host-clock nanoseconds and vary run to run;
+    :attr:`metrics` and :meth:`deterministic_dict` depend on the
+    simulation alone (``tests/prof/test_determinism.py``).
     """
 
-    def __init__(self, queue_sample_every: int = 64) -> None:
-        #: phase → self nanoseconds (``engine.queue``, ``proc.delay``,
-        #: ``resource.request``, ...). Sums to the engine wall time.
+    def __init__(self) -> None:
+        #: phase / collapsed stack path → sampled self nanoseconds.
         self.phase_self_ns: Dict[str, int] = {}
-        #: collapsed stack path → self nanoseconds (flamegraph input).
         self.stack_self_ns: Dict[str, int] = {}
-        #: event kind → (inclusive ns, count).
-        self.kind_ns: Dict[str, int] = {}
-        self.kind_counts: Dict[str, int] = {}
-        #: ``kind:owner`` site → (inclusive ns, count).
-        self.site_ns: Dict[str, int] = {}
-        self.site_counts: Dict[str, int] = {}
-        #: ``parent_site -> child_site`` scheduling edge → (ns, count).
-        self.edge_ns: Dict[str, int] = {}
-        self.edge_counts: Dict[str, int] = {}
-        #: total wall ns spent inside ``Simulator.run`` loops.
+        #: sampled ns inside ``Simulator.run`` (= sum of phases) and
+        #: outside it; wall ns the sampler was armed for.
         self.run_wall_ns = 0
-        self.events = 0
+        self.host_ns = 0
+        self.wall_ns = 0
+        self.samples = 0
         self.sims = 0
-        self.runs = 0
-        self.cancels = 0
-        self.metrics = MetricsRegistry()
-        self.queue_sample_every = int(queue_sample_every)
-
-        self._h_depth = self.metrics.histogram(
+        self._metrics = MetricsRegistry()
+        self._h_depth = self._metrics.histogram(
             "engine.queue.depth", POW2_BUCKETS
         )
-        self._h_ready = self.metrics.histogram(
+        self._h_ready = self._metrics.histogram(
             "engine.ready_set.size", POW2_BUCKETS
         )
-        self._depth_series = self.metrics.time_series("engine.queue.depth")
-        # -- live state ----------------------------------------------------
-        self._mark = 0  # last attributed host timestamp
-        self._frames: List[List[Any]] = []  # [phase, path]
-        self._event_meta: List[Tuple[str, str, int]] = []  # (kind, site, t0)
-        self._outside_probes = 0
-        self._run_t0: Optional[int] = None
-        self._path_of_seq: Dict[int, str] = {}
-        self._site_of_seq: Dict[int, str] = {}
-        self._norm_cache: Dict[str, str] = {}
+        self._depth_series = self._metrics.time_series("engine.queue.depth")
+        self._queues: List[Any] = []
+        #: (parent node, wakeup method or kind, owner) → [count, node,
+        #: kind, site, path, edge, sampled ns], shared by every owner
+        #: that normalizes alike; a node indexes the (path, site) pairs.
+        self._transitions: Dict[Tuple[int, Any, str], List[Any]] = {}
+        self._node_ids: Dict[Tuple[str, str], int] = {}
+        self._nodes: List[Tuple[str, str]] = []
+        #: seq → node of each dispatched event; -1 for pushes made
+        #: outside the run loop.
+        self._node_of_seq: Dict[int, int] = {-1: -1}
+        #: the transition of the event being dispatched.
+        self._cur: Optional[List[Any]] = None
+        #: ``sim time, queue depth`` per event not yet folded into the
+        #: metrics, flat: appending is all the hook pays for them.
+        self._log: List[float] = []
+        self._folded = 0
+        self._depths: Counter = Counter()
+        self._ready: Counter = Counter()
         self._batch_time: Optional[float] = None
         self._batch_size = 0
-        self._pop_count = 0
+        self._last = 0
+        self._in_alarm = False
 
-    # -- attribution core --------------------------------------------------
-    def _advance(self, now: int, phase: str, path: str) -> None:
-        d = now - self._mark
-        if d > 0:
-            acc = self.phase_self_ns
-            acc[phase] = acc.get(phase, 0) + d
-            acc = self.stack_self_ns
-            acc[path] = acc.get(path, 0) + d
-        self._mark = now
+    # -- engine hooks ------------------------------------------------------
+    def attach_sim(self, sim: Any) -> None:
+        """Called by ``Simulator.__init__`` when this profiler is installed."""
+        self.sims += 1
+        self._queues.append(sim._queue)
 
-    # -- run-loop hooks ----------------------------------------------------
-    def begin_run(self) -> None:
-        """Called by the profiled run loop on entry."""
-        now = perf_counter_ns()
-        self._run_t0 = now
-        self._mark = now
-        self.runs += 1
-
-    def end_run(self) -> None:
-        """Called by the profiled run loop on exit (always; ``finally``)."""
-        now = perf_counter_ns()
-        if self._frames:  # an event raised out of the loop: unwind frames
-            while self._frames:
-                phase, path = self._frames.pop()
-                self._advance(now, phase, path)
-            self._event_meta.clear()
+    def on_event(self, item: tuple, depth: int) -> None:
+        """Called by the run loop before the heap ``item``'s callback runs,
+        with ``depth`` live entries left in the queue."""
+        entry = item[5]
+        cb = entry.callback
+        try:
+            func = cb.__func__
+        except AttributeError:  # a plain function or lambda
+            func = None
+        if func in _PROC_METHODS:
+            kind, owner = func, cb.__self__.name
         else:
-            self._advance(now, "engine.queue", "engine.queue")
-        if self._run_t0 is not None:
-            self.run_wall_ns += now - self._run_t0
-            self._run_t0 = None
+            kind, owner = _label(cb, item[2])
+        node_of_seq = self._node_of_seq
+        try:
+            key = (node_of_seq[entry.parent], kind, owner)
+        except KeyError:  # pushed by an event this profiler did not see
+            key = (-1, kind, owner)
+        cur = self._transitions.get(key) or self._transition(key)
+        cur[0] += 1
+        node_of_seq[entry.seq] = cur[1]
+        self._cur = cur
+        self._log.extend((item[0], depth))
 
-    def begin_event(self, entry: Any, queue_depth: int) -> None:
-        """Attribute the inter-event gap to ``engine.queue`` and open the
-        dispatched entry's frame (labelled by its creation site, stacked
-        by its scheduling parent)."""
-        now = perf_counter_ns()
-        self._advance(now, "engine.queue", "engine.queue")
-        label = entry.label
-        if label is None:
-            kind, owner = "engine.callback", "<anonymous>"
-        else:
-            kind, owner = label
-        norm = self._norm_cache.get(owner)
-        if norm is None:
-            norm = self._norm_cache[owner] = _normalize(owner)
+    def _transition(self, key: Tuple[int, Any, str]) -> List[Any]:
+        """The transition for ``key``, shared with every owner that
+        normalizes alike and filed under ``key`` itself, so later events
+        of this owner skip the normalization."""
+        pnode, kind, owner = key
+        canon = (pnode, kind, _DIGITS.sub("*", owner))
+        cur = self._transitions.get(canon)
+        if cur is None:
+            cur = self._transitions[canon] = self._new_transition(*canon)
+        self._transitions[key] = cur
+        return cur
+
+    def _new_transition(self, pnode: int, kind: Any, norm: str) -> List[Any]:
+        """The child's site, ancestry path and scheduling edge."""
+        kind = _PROC_METHODS.get(kind, kind)
         site = f"{kind}:{norm}" if norm else kind
-        parent_path = self._path_of_seq.get(entry.parent)
+        parent_path, parent_site = (
+            self._nodes[pnode] if pnode >= 0 else (None, "<external>")
+        )
         if parent_path is None:
             path = site
-        elif parent_path == site or parent_path.endswith(";" + site):
-            path = parent_path  # self-recursion: collapse
-        elif parent_path.count(";") + 2 > _MAX_STACK_SEGMENTS:
-            path = parent_path  # depth cap: stop extending
+        elif (parent_path == site or parent_path.endswith(";" + site)
+              or parent_path.count(";") + 2 > _MAX_STACK_SEGMENTS):
+            path = parent_path  # self-recursion or depth cap: collapse
         else:
             path = parent_path + ";" + site
-        self._path_of_seq[entry.seq] = path
-        parent_site = self._site_of_seq.get(entry.parent, "<external>")
-        self._site_of_seq[entry.seq] = site
-        edge = f"{parent_site} -> {site}"
-        self.edge_counts[edge] = self.edge_counts.get(edge, 0) + 1
-        self._pending_edge = edge
-        self._frames.append([kind, path])
-        self._event_meta.append((kind, site, now))
-        self.events += 1
-        # -- sim-time metrics (deterministic) ------------------------------
-        t = entry.time
-        if t != self._batch_time:
-            if self._batch_time is not None:
-                self._h_ready.observe(self._batch_size)
-            self._batch_time = t
-            self._batch_size = 1
-        else:
-            self._batch_size += 1
-        self._pop_count += 1
-        if self._pop_count % self.queue_sample_every == 0:
-            self._depth_series.record(t, float(queue_depth))
+        node = self._node_ids.setdefault((path, site), len(self._nodes))
+        if node == len(self._nodes):
+            self._nodes.append((path, site))
+        return [0, node, kind, site, path, f"{parent_site} -> {site}", 0]
 
-    def end_event(self) -> None:
-        """Close the current event frame and charge its inclusive time."""
-        now = perf_counter_ns()
-        phase, path = self._frames.pop()
-        self._advance(now, phase, path)
-        kind, site, t0 = self._event_meta.pop()
-        incl = now - t0
-        self.kind_ns[kind] = self.kind_ns.get(kind, 0) + incl
-        self.kind_counts[kind] = self.kind_counts.get(kind, 0) + 1
-        self.site_ns[site] = self.site_ns.get(site, 0) + incl
-        self.site_counts[site] = self.site_counts.get(site, 0) + 1
-        edge = self._pending_edge
-        if edge is not None:
-            self.edge_ns[edge] = self.edge_ns.get(edge, 0) + incl
-            self._pending_edge = None
-
-    _pending_edge: Optional[str] = None
-
-    # -- inner-subsystem probes -------------------------------------------
-    def push_phase(self, phase: str) -> None:
-        """Open a nested engine-subsystem frame (resource arbitration,
-        store ops, event wake fan-out, queue push). No-op outside an
-        event frame — setup work before ``run()`` is not engine time."""
-        if not self._frames:
-            self._outside_probes += 1
+    def _fold(self) -> None:
+        """Fold the logged events into the metrics: queue depth per event,
+        a series point every ``_DEPTH_SERIES_EVERY`` events, and ready
+        sets — runs of consecutive events at one timestamp (the last run
+        stays open until :meth:`finalize`)."""
+        if not self._log:
             return
-        now = perf_counter_ns()
-        top = self._frames[-1]
-        self._advance(now, top[0], top[1])
-        self._frames.append([phase, top[1] + ";" + phase])
+        log = np.array(self._log, dtype=np.float64)
+        del self._log[:]
+        times, depths = log[0::2], log[1::2].astype(np.int64)
+        first = self._folded
+        self._folded += len(times)
+        start = _DEPTH_SERIES_EVERY - 1 - first % _DEPTH_SERIES_EVERY
+        for t, depth in zip(times[start::_DEPTH_SERIES_EVERY].tolist(),
+                            depths[start::_DEPTH_SERIES_EVERY].tolist()):
+            self._depth_series.record(t, float(depth))
+        cuts = np.flatnonzero(times[1:] != times[:-1]) + 1
+        sizes = np.diff(cuts, prepend=0, append=len(times))
+        if times[0] == self._batch_time:
+            sizes[0] += self._batch_size
+        elif self._batch_size:
+            self._ready[self._batch_size] += 1
+        self._batch_time, self._batch_size = float(times[-1]), int(sizes[-1])
+        for counter, values in ((self._depths, depths),
+                                (self._ready, sizes[:-1])):
+            tally = np.bincount(values)
+            for value in np.flatnonzero(tally).tolist():
+                counter[value] += int(tally[value])
 
-    def pop_phase(self) -> None:
-        if self._outside_probes:
-            self._outside_probes -= 1
-            return
-        now = perf_counter_ns()
-        phase, path = self._frames.pop()
-        self._advance(now, phase, path)
-
-    # -- queue hooks -------------------------------------------------------
-    def note_push(self, queue_len: int) -> None:
-        """Called by ``EventQueue.push``: depth histogram (deterministic)."""
-        self._h_depth.observe(queue_len)
-
-    def note_cancel(self) -> None:
-        """Called by ``EventQueue.cancel``: counts lazy cancellations."""
-        self.cancels += 1
-
-    def attach_sim(self) -> None:
-        self.sims += 1
-
-    # -- finalize ----------------------------------------------------------
-    def finalize(self, tracer: Optional[object] = None) -> None:
-        """Flush batch metrics and derive tracer-based metrics.
-
-        Safe to call more than once; ``tracer`` (when given) contributes
-        per-link utilization gauges from its ``net.link[*].busy_s``
-        counters.
-        """
-        if self._batch_time is not None:
-            self._h_ready.observe(self._batch_size)
-            self._batch_time = None
-            self._batch_size = 0
-        self.metrics.fill_link_utilization(tracer)
+    # -- sampler -----------------------------------------------------------
+    def _on_alarm(self, _signum: int, frame: Optional[FrameType]) -> None:
+        """``SIGALRM`` handler: charge the wall time since the previous
+        sample to the phase (and event) the interrupted stack is in. The
+        weights tile the armed wall time, the sampler's own cost
+        included, so the attribution reconciles with the wall clock."""
+        if self._in_alarm:
+            return  # a tick inside the handler: the next sample takes it
+        self._in_alarm = True
+        try:
+            now = perf_counter_ns()
+            weight, self._last = now - self._last, now
+            self.samples += 1
+            if len(self._log) > _LOG_LIMIT:
+                self._fold()
+            phase = frame_phase(frame)
+            if phase is None:
+                self.host_ns += weight
+                return
+            self.run_wall_ns += weight
+            cur = self._cur
+            if phase == "engine.queue" or cur is None:
+                phase = path = "engine.queue"
+            else:
+                cur[6] += weight
+                path = cur[4] + ";" + phase if phase else cur[4]
+                phase = phase or cur[2]
+            phases, stacks = self.phase_self_ns, self.stack_self_ns
+            phases[phase] = phases.get(phase, 0) + weight
+            stacks[path] = stacks.get(path, 0) + weight
+        finally:
+            self._in_alarm = False
 
     # -- views -------------------------------------------------------------
     @property
-    def attributed_ns(self) -> int:
-        """Nanoseconds attributed to named phases (= sum of self times)."""
-        return sum(self.phase_self_ns.values())
+    def events(self) -> int:
+        """Events dispatched by the simulators that picked this up."""
+        return self._folded + len(self._log) // 2
+
+    @property
+    def metrics(self) -> MetricsRegistry:
+        """The sim-time metrics registry, every logged event folded in."""
+        self._fold()
+        for hist, counts in ((self._h_depth, self._depths),
+                             (self._h_ready, self._ready)):
+            for value, n in sorted(counts.items()):
+                hist.observe(value, n)
+            counts.clear()
+        return self._metrics
+
+    def finalize(self, tracer: Optional[object] = None) -> None:
+        """Close the open ready set and derive per-link utilization gauges
+        from ``tracer``'s ``net.link[*].busy_s`` counters. Idempotent."""
+        self._fold()
+        if self._batch_size:
+            self._ready[self._batch_size] += 1
+            self._batch_time, self._batch_size = None, 0
+        self.metrics.fill_link_utilization(tracer)
+
+    def totals(self, field: str) -> Dict[str, Tuple[int, int]]:
+        """Event ``field`` ("kind", "site" or "edge") → (sampled ns inside
+        such events, event count)."""
+        index = {"kind": 2, "site": 3, "edge": 5}[field]
+        out: Dict[str, Tuple[int, int]] = {}
+        unique = {id(cur): cur for cur in self._transitions.values()}
+        for cur in unique.values():
+            ns, n = out.get(cur[index], (0, 0))
+            out[cur[index]] = (ns + cur[6], n + cur[0])
+        return {k: v for k, v in sorted(out.items()) if v[1]}
+
+    @property
+    def kind_counts(self) -> Dict[str, int]:
+        return {k: n for k, (_, n) in self.totals("kind").items()}
+
+    @property
+    def site_counts(self) -> Dict[str, int]:
+        return {k: n for k, (_, n) in self.totals("site").items()}
+
+    @property
+    def edge_counts(self) -> Dict[str, int]:
+        return {k: n for k, (_, n) in self.totals("edge").items()}
+
+    @property
+    def phases(self) -> Dict[str, int]:
+        """Sampled self ns per phase, listing every event kind that ran
+        and ``engine.queue`` (0 when unsampled), so short profiles of one
+        driver still line up in a diff."""
+        out = dict.fromkeys(self.kind_counts, 0)
+        if self.events:
+            out["engine.queue"] = 0
+        out.update(self.phase_self_ns)
+        return dict(sorted(out.items()))
+
+    @property
+    def stack_paths(self) -> List[str]:
+        """Every ancestry path an event ran under, plus ``engine.queue``."""
+        paths = {path for path, _ in self._nodes}
+        if self.events:
+            paths.add("engine.queue")
+        return sorted(paths)
+
+    @property
+    def cancels(self) -> int:
+        """Entries cancelled before they fired: every push is dispatched,
+        cancelled or still live."""
+        pushed = sum(q._next_seq - q._live for q in self._queues)
+        return pushed - self.events
 
     def deterministic_dict(self) -> dict:
-        """The schedule-determined projection of this profile.
-
-        Everything here — kind/site/edge counts, stack paths, event and
-        simulator totals — depends only on the simulation, never on the
-        host clock, so it is byte-identical across repeated runs of a
-        deterministic driver.
-        """
+        """The schedule-determined projection of this profile: the same
+        bytes on every run of a deterministic driver."""
         return {
             "events": self.events,
             "sims": self.sims,
-            "runs": self.runs,
             "cancels": self.cancels,
-            "kind_counts": dict(sorted(self.kind_counts.items())),
-            "site_counts": dict(sorted(self.site_counts.items())),
-            "edge_counts": dict(sorted(self.edge_counts.items())),
-            "stack_paths": sorted(self.stack_self_ns),
+            "kind_counts": self.kind_counts,
+            "site_counts": self.site_counts,
+            "edge_counts": self.edge_counts,
+            "stack_paths": self.stack_paths,
         }
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<EngineProfiler {self.events} events, "
-            f"{self.run_wall_ns / 1e6:.2f} ms engine>"
-        )
 
+# A sample inside the per-event hook is run-loop bookkeeping.
+_PHASE_OF_CODE[EngineProfiler.on_event.__code__] = "engine.queue"
 
-#: Process-wide installed profiler (``None`` = profiling off). Simulators
-#: constructed without an explicit ``profile=`` fall back to this — how
-#: ``repro perf record`` and ``repro all --profile`` reach simulations
-#: created deep inside experiment drivers.
+#: The installed profiler (``None`` = off); new simulators pick it up.
 _CURRENT: Optional[EngineProfiler] = None
 
 
@@ -313,29 +409,37 @@ def current_profiler() -> Optional[EngineProfiler]:
     return _CURRENT
 
 
-def install_profiler(profiler: EngineProfiler) -> EngineProfiler:
-    """Install ``profiler`` as the fallback for new simulators."""
-    global _CURRENT
-    _CURRENT = profiler
-    return profiler
-
-
-def uninstall_profiler() -> None:
-    """Remove the installed profiler (new simulators stop profiling)."""
-    global _CURRENT
-    _CURRENT = None
-
-
 @contextmanager
 def installed_profiler(
     profiler: Optional[EngineProfiler] = None,
 ) -> Iterator[EngineProfiler]:
-    """Install a profiler for a ``with`` block (fresh one if not given);
-    always restores the previously-installed profiler on exit."""
+    """Install a profiler (a fresh one if not given) for a ``with`` block
+    and sample the block's wall time every :data:`SAMPLE_INTERVAL_S`.
+
+    On exit — also when the block raises — the timer is disarmed before
+    the previous ``SIGALRM`` handler, timer and profiler are restored.
+    Signals reach the main thread only: elsewhere the block collects the
+    counts but no samples.
+    """
     global _CURRENT
-    previous = _CURRENT
-    _CURRENT = profiler if profiler is not None else EngineProfiler()
+    prof = EngineProfiler() if profiler is None else profiler
+    previous, _CURRENT = _CURRENT, prof
+    sampling = threading.current_thread() is threading.main_thread()
+    prof._last = t0 = perf_counter_ns()
+    if sampling:
+        old_handler = signal.signal(signal.SIGALRM, prof._on_alarm)
+        old_timer = signal.setitimer(
+            signal.ITIMER_REAL, SAMPLE_INTERVAL_S, SAMPLE_INTERVAL_S
+        )
     try:
-        yield _CURRENT
+        yield prof
     finally:
+        if sampling:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, old_handler or signal.SIG_DFL)
+            if old_timer[0]:
+                signal.setitimer(signal.ITIMER_REAL, *old_timer)
+        prof.wall_ns += perf_counter_ns() - t0
         _CURRENT = previous
+        if previous is not None:
+            previous._last = perf_counter_ns()  # its samples resume now

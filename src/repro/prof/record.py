@@ -4,12 +4,12 @@
 executes a driver (and its ``des_companion``, where one exists — several
 figure drivers are analytic closed-form sweeps whose DES activity lives
 in the companion) under a fresh :class:`~repro.prof.profiler.EngineProfiler`
-and a fresh tracer, then writes the three profile artifacts.
+— sampling the wall clock, counting every event — and a fresh tracer,
+then writes the three profile artifacts.
 """
 
 from __future__ import annotations
 
-import importlib
 from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
@@ -29,6 +29,7 @@ class RecordOutcome:
     #: written artifact paths: profile.json, folded, metrics.json.
     paths: List[str] = field(default_factory=list)
     events: int = 0
+    samples: int = 0
     run_wall_ns: int = 0
     had_companion: bool = False
     result: Any = None
@@ -46,24 +47,22 @@ def record_experiment(
     profiler installed process-wide so every simulator the driver builds
     is profiled.
     """
-    from repro.experiments.common import faults_from
+    from repro.experiments.common import faults_from, run_companion
 
     driver = get_experiment(exp_id)
     prof = EngineProfiler()
     tracer = Tracer(meta={"exp_id": exp_id, "profiled": "1"})
     with faults_from(faults), installed(tracer), installed_profiler(prof):
         result = driver()
-        module = importlib.import_module(driver.__module__)
-        companion = getattr(module, "des_companion", None)
-        if companion is not None:
-            companion()
+        report = run_companion(exp_id)
     prof.finalize(tracer)
     paths = write_artifacts(prof, out_dir, exp_id, meta={"exp_id": exp_id})
     return RecordOutcome(
         exp_id=exp_id,
         paths=paths,
         events=prof.events,
+        samples=prof.samples,
         run_wall_ns=prof.run_wall_ns,
-        had_companion=companion is not None,
+        had_companion=report is not None,
         result=result,
     )

@@ -103,12 +103,19 @@ def _execute(
     boundary (which is also why profile artifacts are written here, in
     the worker, rather than returned).
 
-    The driver's module's ``shape_checks(result)`` runs here too, and
-    its failures ride the payload. A driver or check that raises yields
-    an ``error`` payload instead. Only :class:`Exception` is caught:
-    ``KeyboardInterrupt`` still stops the run.
+    A trace or profile also covers the module's ``des_companion``, run
+    after the timed driver: several drivers are analytic, and their DES
+    activity lives there. The driver's module's ``shape_checks(result)``
+    runs here too, and its failures ride the payload. A driver or check
+    that raises yields an ``error`` payload instead. Only
+    :class:`Exception` is caught: ``KeyboardInterrupt`` still stops the
+    run.
     """
-    from repro.experiments.common import profiling_to, tracing_to
+    from repro.experiments.common import (
+        profiling_to,
+        run_companion,
+        tracing_to,
+    )
     from repro.network import simnet
 
     faults = nullcontext()
@@ -125,6 +132,8 @@ def _execute(
             result = get_experiment(exp_id)()
             wall_s = time.perf_counter() - t0  # simlint: ignore[SL201]
             net = simnet.reset_transfer_totals()
+            if trace_path is not None or profile_dir is not None:
+                run_companion(exp_id)
         module = importlib.import_module(driver_module(exp_id))
         return {
             "exp_id": exp_id,

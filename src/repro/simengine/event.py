@@ -75,19 +75,8 @@ class Event:
 
     def _dispatch(self) -> None:
         callbacks, self._callbacks = self._callbacks, []
-        prof = self.sim.prof
-        if prof is None:
-            for cb in callbacks:
-                cb(self)
-            return
-        # Profiled: the wake fan-out (resuming every waiter of this event)
-        # is the wait/wake subsystem — attribute it as such.
-        prof.push_phase("event.wake")
-        try:
-            for cb in callbacks:
-                cb(self)
-        finally:
-            prof.pop_phase()
+        for cb in callbacks:
+            cb(self)
 
     # -- abandonment ----------------------------------------------------
     def on_abandon(self, cb: Callable[["Event"], None]) -> None:

@@ -32,8 +32,7 @@ tie-break *order* is exactly the three-level rule above:
 
 ``seq`` is unique, so the trailing :class:`_Entry` slot is never
 compared. :class:`_Entry` remains the cancellable handle carrying the
-callback and the race/profiler bookkeeping (``seq``, ``parent``,
-``label``).
+callback and the race bookkeeping (``seq``, ``parent``).
 """
 
 from __future__ import annotations
@@ -86,7 +85,7 @@ class _Entry:
     the race tracker and the profiler.
     """
 
-    __slots__ = ("time", "seq", "parent", "callback", "cancelled", "label")
+    __slots__ = ("time", "seq", "parent", "callback", "cancelled")
 
     def __init__(
         self,
@@ -100,10 +99,6 @@ class _Entry:
         self.parent = parent
         self.callback = callback
         self.cancelled = False
-        # (kind, owner) attribution label, set by the scheduling site only
-        # when a profiler is attached (see repro.prof.profiler); None is
-        # the universal fast path.
-        self.label: Optional[Tuple[str, str]] = None
 
 
 #: One heap item: ``(time, group, key, rank1, rank2, entry)``.
@@ -124,9 +119,6 @@ class EventQueue:
         # seq of the most recently popped entry: the scheduling parent of
         # every push made while its callback runs (-1 before the first pop).
         self._current_seq = -1
-        # Attached EngineProfiler, or None (the default — unprofiled
-        # queues pay exactly one `is None` check per push).
-        self.prof = None
 
     def __len__(self) -> int:
         return self._live
@@ -159,8 +151,6 @@ class EventQueue:
             item = (time, 1, "", _mix(_PERM_SEED, self._current_seq), seq, entry)
         heappush(self._heap, item)
         self._live += 1
-        if self.prof is not None:
-            self.prof.note_push(self._live)
         return entry
 
     def cancel(self, entry: _Entry) -> None:
@@ -168,16 +158,14 @@ class EventQueue:
         if not entry.cancelled:
             entry.cancelled = True
             self._live -= 1
-            if self.prof is not None:
-                self.prof.note_cancel()
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next live entry, or ``None`` if empty."""
         self._drop_cancelled()
         return self._heap[0][0] if self._heap else None
 
-    def pop_entry(self) -> _Entry:
-        """Remove and return the earliest live entry.
+    def pop(self) -> Tuple[float, Callable[[], Any]]:
+        """Remove and return ``(time, callback)`` of the earliest live entry.
 
         Also marks it as the current scheduling parent: pushes made while
         its callback runs record this entry's ``seq`` as their ``parent``.
@@ -192,11 +180,6 @@ class EventQueue:
         entry.cancelled = True
         self._live -= 1
         self._current_seq = entry.seq
-        return entry
-
-    def pop(self) -> Tuple[float, Callable[[], Any]]:
-        """Remove and return ``(time, callback)`` of the earliest live entry."""
-        entry = self.pop_entry()
         return entry.time, entry.callback
 
     def shift_all(self, delta: float) -> None:

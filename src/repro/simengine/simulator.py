@@ -101,7 +101,6 @@ class Simulator:
         self,
         sanitize: "bool | str" = False,
         tracer: "Optional[Tracer]" = None,
-        profile: Any = None,
     ) -> None:
         self.now: float = 0.0
         self.sanitize = bool(sanitize)
@@ -114,23 +113,16 @@ class Simulator:
         #: Attached :class:`~repro.obs.tracer.Tracer`, or ``None`` (the
         #: default — untraced runs pay only ``is None`` checks).
         self.tracer = tracer
-        if profile is None:
-            # Deferred import: repro.prof is a higher layer.
-            from repro.prof.profiler import current_profiler
-
-            profile = current_profiler()
-        elif profile is True:
-            from repro.prof.profiler import EngineProfiler
-
-            profile = EngineProfiler()
-        #: Attached :class:`~repro.prof.profiler.EngineProfiler`, or
-        #: ``None`` (the default — unprofiled runs use the original run
-        #: loop untouched and pay only ``is None`` checks elsewhere).
-        self.prof = profile
         self._queue = EventQueue()
-        if profile is not None:
-            self._queue.prof = profile
-            profile.attach_sim()
+        # Deferred import: repro.prof is a higher layer.
+        from repro.prof.profiler import current_profiler
+
+        #: The installed :class:`~repro.prof.profiler.EngineProfiler`, or
+        #: ``None`` (the default — unprofiled runs pay one ``is None``
+        #: check per event).
+        self.prof = current_profiler()
+        if self.prof is not None:
+            self.prof.attach_sim(self)
         #: Attached :class:`~repro.simrace.hb.RaceTracker`, or ``None``
         #: (the default — race-free runs pay only ``is None`` checks).
         self.race = None
@@ -184,13 +176,7 @@ class Simulator:
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
-        handle = self._queue.push(self.now + delay, callback, key=key)
-        if self.prof is not None:
-            name = key or getattr(
-                callback, "__qualname__", type(callback).__name__
-            ).replace("<locals>.", "")
-            handle.label = ("engine.callback", name)
-        return handle
+        return self._queue.push(self.now + delay, callback, key=key)
 
     def timeout_event(
         self,
@@ -271,8 +257,6 @@ class Simulator:
         """
         if self._running:
             raise RuntimeError("Simulator.run() is not re-entrant")
-        if self.prof is not None:
-            return self._run_profiled(until, max_events)
         self._running = True
         processed = 0
         # Hot loop: the queue internals are inlined (single cancelled
@@ -282,6 +266,7 @@ class Simulator:
         heap = queue._heap
         pop = heappop
         race = self.race
+        prof = self.prof
         try:
             while queue._live:
                 entry = heap[0][5]
@@ -292,7 +277,7 @@ class Simulator:
                 if until is not None and time > until:
                     self.now = until
                     return until
-                pop(heap)
+                item = pop(heap)
                 # Mark consumed so a late cancel() on this handle (a fault
                 # injector sweeping its list at job end) is a no-op.
                 entry.cancelled = True
@@ -304,6 +289,8 @@ class Simulator:
                     raise RuntimeError(
                         f"time went backwards: {time} < {self.now}"
                     )
+                if prof is not None:
+                    prof.on_event(item, queue._live)
                 if race is not None:
                     race.begin_event(entry)
                 entry.callback()
@@ -320,53 +307,6 @@ class Simulator:
             return self.now
         finally:
             self._running = False
-
-    def _run_profiled(
-        self, until: Optional[float] = None, max_events: int = 0
-    ) -> float:
-        """:meth:`run`, with profiler hooks around every dispatch.
-
-        A separate loop keeps the unprofiled path byte-for-byte identical
-        to the pre-profiler engine (pay-for-what-you-use); the simulation
-        semantics here are the same statements in the same order, plus
-        ``begin_event``/``end_event`` brackets.
-        """
-        prof = self.prof
-        self._running = True
-        processed = 0
-        prof.begin_run()
-        try:
-            while self._queue:
-                t = self._queue.peek_time()
-                assert t is not None
-                if until is not None and t > until:
-                    self.now = until
-                    return self.now
-                entry = self._queue.pop_entry()
-                time = entry.time
-                if time < self.now - 1e-15:
-                    raise RuntimeError(
-                        f"time went backwards: {time} < {self.now}"
-                    )
-                self.now = max(self.now, time)
-                if self.race is not None:
-                    self.race.begin_event(entry)
-                prof.begin_event(entry, len(self._queue))
-                try:
-                    entry.callback()
-                finally:
-                    prof.end_event()
-                processed += 1
-                if max_events and processed > max_events:
-                    raise RuntimeError(f"exceeded max_events={max_events}")
-            if self.sanitize and until is None:
-                self._check_quiescence()
-            if until is not None:
-                self.now = max(self.now, until)
-            return self.now
-        finally:
-            self._running = False
-            prof.end_run()
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Simulator t={self.now:.9g} pending={len(self._queue)}>"

@@ -161,15 +161,14 @@ def _clear_module_memoization(module) -> None:
 def _execution_blob(exp_id: str) -> Dict[str, Any]:
     """One full driver execution reduced to comparable data."""
     from repro.core.registry import get_experiment
+    from repro.experiments.common import run_companion
     from repro.obs.tracer import Tracer, installed
 
     driver = get_experiment(exp_id)
     _clear_module_memoization(importlib.import_module(driver.__module__))
     with installed(Tracer(meta={"exp_id": exp_id, "command": "race"})) as tracer:
         result = driver()
-        module = importlib.import_module(driver.__module__)
-        companion = getattr(module, "des_companion", None)
-        report = companion() if companion is not None else None
+        report = run_companion(exp_id)
     return {
         "result": result.to_dict(),
         "counters": tracer.counter_totals(),

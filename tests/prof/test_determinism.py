@@ -86,6 +86,10 @@ def test_repro_all_parallel_profiles_match_serial(tmp_path):
     exp_ids = sorted(ALL_EXPS.split(","))
     assert sorted(p.stem for p in serial.glob("*.folded")) == exp_ids
     for exp_id in exp_ids:
+        # Every id profiles real engine work — fig02 and fig22 through
+        # their DES companions — not two empty profiles.
+        doc = json.loads((serial / f"{exp_id}.profile.json").read_text())
+        assert doc["engine"]["events"] > 0, exp_id
         assert (serial / f"{exp_id}.metrics.json").read_bytes() == \
             (parallel / f"{exp_id}.metrics.json").read_bytes()
         assert _deterministic_bytes(serial / f"{exp_id}.profile.json") == \

@@ -8,7 +8,8 @@ import pytest
 from repro.core import registry
 from repro.core.report import render_csv, render_result
 from repro.faults import FaultPlan
-from repro.obs import Tracer
+from repro.obs import Tracer, load_trace
+from repro.prof import load_profile
 from repro.runner import ExperimentRunner, ResultCache, model_tree_hash
 
 CHEAP = ["fig05", "table1"]
@@ -169,6 +170,19 @@ def test_trace_dir_bypasses_cache_and_writes_traces(cache, tmp_path):
     assert not outcomes[0].from_cache  # executed despite warm cache
     assert (trace_dir / "fig02.trace.json").is_file()
     assert cache.entries() == 1  # and nothing new was stored
+
+
+def test_trace_and_profile_cover_the_des_companion(cache, tmp_path):
+    """fig22's driver is analytic: what a trace or profile of it shows
+    comes from its DES companion, which must run too."""
+    runner = ExperimentRunner(
+        cache, trace_dir=str(tmp_path), profile_dir=str(tmp_path)
+    )
+    (outcome,) = runner.run(["fig22"])
+    assert outcome.error is None
+    assert load_trace(str(tmp_path / "fig22.trace.json")).spans
+    profile = load_profile(str(tmp_path / "fig22.profile.json"))
+    assert profile["engine"]["events"] > 0
 
 
 def _raise_in_driver(monkeypatch, exp_id):
