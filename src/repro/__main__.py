@@ -13,12 +13,13 @@ Usage::
     python -m repro cache gc --max-age-days 30
     python -m repro lint src/ tests/                     # simlint passthrough
     python -m repro race fig08 -k 4                      # schedule-race certify
-    python -m repro perf record --exp fig22              # engine profiling
+    python -m repro perf summary                         # engine profiles
     python -m repro trace summary fig02.trace.json       # trace analysis
     python -m repro faults show plan.json                # fault-plan authoring
 
 This is the only entry point: each tool in ``PASSTHROUGH`` runs as
-``python -m repro <tool>``.
+``python -m repro <tool>``. A reader that closes the pipe early
+(``repro perf summary | head -1``) ends any command quietly.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import os
 import pathlib
+import signal
 import sys
 from typing import List, Optional
 
@@ -59,7 +62,7 @@ PASSTHROUGH = {
     "cache": ("repro.runner.cache_cli", "result-store hygiene: verify | gc"),
     "lint": ("repro.lint.cli", "run simlint"),
     "race": ("repro.simrace.cli", "certify drivers schedule-invariant"),
-    "perf": ("repro.prof.cli", "engine profiling: record/summary/flame/diff"),
+    "perf": ("repro.prof.cli", "engine profiles: summary/diff"),
     "trace": ("repro.obs.cli", "summarise and compare simulation traces"),
     "faults": ("repro.faults.cli", "author and inspect fault plans"),
 }
@@ -290,6 +293,20 @@ def cmd_all(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+    except BrokenPipeError:
+        # The reader went away (`repro perf summary | head -1`): that is
+        # not bad input. Stop quietly, with the status a SIGPIPE death
+        # gives, and point stdout at /dev/null so the interpreter's own
+        # exit-time flush has nothing left to fail on.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 128 + signal.SIGPIPE
+    return code
+
+
+def _main(argv: Optional[List[str]]) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in PASSTHROUGH:
         # Hand the tool its arguments verbatim, so an option in first

@@ -24,9 +24,7 @@ from repro.faults.plan import (
     FaultEvent,
     FaultPlan,
     current_plan,
-    install_plan,
     installed_plan,
-    uninstall_plan,
 )
 from repro.faults.policy import FaultPolicy, daly_optimal_interval_s
 from repro.faults.state import NodeFaultState
@@ -40,7 +38,5 @@ __all__ = [
     "NodeFaultState",
     "current_plan",
     "daly_optimal_interval_s",
-    "install_plan",
     "installed_plan",
-    "uninstall_plan",
 ]

@@ -7,9 +7,9 @@ or sampled from per-component MTBF rates with :meth:`FaultPlan.sample`
 pure function of its seed). The plan is *data only*: it is executed
 against a live simulation by :class:`repro.faults.injector.FaultInjector`.
 
-Like the tracer, a plan can be installed process-globally
-(:func:`install_plan` / :func:`installed_plan`) so the ``--faults`` CLI
-flag reaches jobs constructed deep inside experiment drivers. An
+Like the tracer, a plan can be installed process-globally for a ``with``
+block (:func:`installed_plan`) so the ``--faults`` CLI flag reaches jobs
+constructed deep inside experiment drivers. An
 installed *empty* plan is an explicit "no faults" shield: it satisfies
 the lookup but schedules nothing.
 """
@@ -263,19 +263,6 @@ _CURRENT_PLAN: Optional[FaultPlan] = None
 def current_plan() -> Optional[FaultPlan]:
     """The installed fault plan, or ``None`` when faults are off."""
     return _CURRENT_PLAN
-
-
-def install_plan(plan: FaultPlan) -> FaultPlan:
-    """Install ``plan`` as the fallback for new jobs (``--faults`` CLI)."""
-    global _CURRENT_PLAN
-    _CURRENT_PLAN = plan
-    return plan
-
-
-def uninstall_plan() -> None:
-    """Remove the installed plan (new jobs run fault-free)."""
-    global _CURRENT_PLAN
-    _CURRENT_PLAN = None
 
 
 @contextmanager

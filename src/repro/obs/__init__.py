@@ -7,11 +7,11 @@ first-class output of every simulation:
 
 * :class:`Tracer` — zero-dependency span + counter collection, attached
   via ``Simulator(tracer=...)`` / ``MPIJob(..., tracer=...)`` (or
-  process-wide with :func:`install` / :func:`installed`). Off by
+  process-wide for a ``with`` block with :func:`installed`). Off by
   default: untraced runs pay nothing.
 * :mod:`repro.obs.export` — Chrome trace-event JSON (loadable in
   `Perfetto <https://ui.perfetto.dev>`_; one track per rank, link,
-  resource and controller) and a compact JSONL format, plus the loader.
+  resource and controller), the one trace format, plus its loader.
 * :mod:`repro.obs.analyze` — span self-time rankings, counter
   statistics, link hotspots, trace-vs-trace diffs, and the per-rank
   MPI views (:func:`~repro.obs.analyze.mpi_op_rows`,
@@ -27,19 +27,15 @@ See docs/OBSERVABILITY.md for the counter naming scheme
 from repro.obs.export import (
     TraceData,
     dumps_chrome_trace,
-    dumps_jsonl,
     load_trace,
     write_chrome_trace,
-    write_jsonl,
 )
 from repro.obs.tracer import (
     Counter,
     Span,
     Tracer,
     current_tracer,
-    install,
     installed,
-    uninstall,
 )
 
 __all__ = [
@@ -49,11 +45,7 @@ __all__ = [
     "Tracer",
     "current_tracer",
     "dumps_chrome_trace",
-    "dumps_jsonl",
-    "install",
     "installed",
     "load_trace",
-    "uninstall",
     "write_chrome_trace",
-    "write_jsonl",
 ]

@@ -83,11 +83,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro trace",
         description="Summarise and compare repro simulation traces "
-        "(Chrome/Perfetto JSON or repro-obs JSONL).",
+        "(Chrome/Perfetto trace-event JSON).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     p_sum = sub.add_parser("summary", help="summarise one trace")
-    p_sum.add_argument("trace", help="trace file (.json or .jsonl)")
+    p_sum.add_argument("trace", help="trace file (.json)")
     p_sum.add_argument("--top", type=int, default=10,
                        help="rows per ranking table (default 10)")
     p_sum.add_argument("--counters", default="", metavar="PREFIX",
@@ -154,6 +154,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                     )
                     return 1
                 print(f"ok: no counter drifted beyond {args.fail_over:g}%")
+    except BrokenPipeError:
+        raise  # the reader went away: repro.__main__ ends quietly
     except (OSError, ValueError) as exc:
         print(f"repro trace: {exc}", file=sys.stderr)
         return 2

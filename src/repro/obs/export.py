@@ -1,26 +1,21 @@
-"""Trace exporters and the matching loader.
+"""Trace exporter and the matching loader.
 
-Two on-disk formats, both self-describing and deterministic (a seeded
-run serializes byte-for-byte identically):
+One on-disk format, self-describing and deterministic (a seeded run
+serializes byte-for-byte identically): **Chrome trace-event JSON**, the
+format Perfetto and ``chrome://tracing`` load directly. Each span track
+(rank, link, resource, process) becomes one named thread; counters
+become ``"C"`` events, which Perfetto renders as their own counter
+tracks.
 
-* **Chrome trace-event JSON** (``.json``) — the format Perfetto and
-  ``chrome://tracing`` load directly. Each span track (rank, link,
-  resource, process) becomes one named thread; counters become ``"C"``
-  events, which Perfetto renders as their own counter tracks.
-* **Compact JSONL** (``.jsonl``) — one JSON object per line (a ``meta``
-  header, then one line per span and per counter), cheap to stream and
-  to grep.
-
-:func:`load_trace` reads either format back into a neutral
-:class:`TraceData`, which is what the ``repro trace`` analysis CLI
-consumes.
+:func:`load_trace` reads it back into a neutral :class:`TraceData`,
+which is what the ``repro trace`` analysis CLI consumes.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.obs.tracer import Span, Tracer
 
@@ -28,10 +23,8 @@ __all__ = [
     "TraceData",
     "chrome_trace_events",
     "dumps_chrome_trace",
-    "dumps_jsonl",
     "load_trace",
     "write_chrome_trace",
-    "write_jsonl",
 ]
 
 #: Seconds → trace-event microseconds.
@@ -132,62 +125,6 @@ def write_chrome_trace(tracer: Tracer, path: str) -> str:
     return path
 
 
-def dumps_jsonl(tracer: Tracer) -> str:
-    """Serialize to the compact JSONL format (deterministic)."""
-    tracer.close_open_spans(tracer.end_time)
-    lines = [
-        json.dumps(
-            {
-                "type": "meta",
-                "format": "repro-obs",
-                "version": 1,
-                "meta": dict(sorted(tracer.meta.items())),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-    ]
-    for span in sorted(tracer.spans, key=_span_sort_key):
-        lines.append(
-            json.dumps(
-                {
-                    "type": "span",
-                    "track": span.track,
-                    "name": span.name,
-                    "t0": span.t0,
-                    "t1": span.t1,
-                    "args": span.args,
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        )
-    for cname in sorted(tracer.counters):
-        counter = tracer.counters[cname]
-        series = counter.series()
-        lines.append(
-            json.dumps(
-                {
-                    "type": "counter",
-                    "name": cname,
-                    "mode": counter.mode,
-                    "t": [t for t, _v in series],
-                    "v": [v for _t, v in series],
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def write_jsonl(tracer: Tracer, path: str) -> str:
-    """Write the JSONL form to ``path``; returns the path."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_jsonl(tracer))
-    return path
-
-
 @dataclass
 class TraceData:
     """A loaded trace in neutral form (what the analysis CLI consumes)."""
@@ -207,19 +144,6 @@ class TraceData:
             if series:
                 t = max(t, series[-1][0])
         return t
-
-    @classmethod
-    def from_tracer(cls, tracer: Tracer) -> "TraceData":
-        """In-memory view of a live tracer (no round trip through disk)."""
-        tracer.close_open_spans(tracer.end_time)
-        return cls(
-            spans=sorted(tracer.spans, key=_span_sort_key),
-            counters={
-                name: counter.series()
-                for name, counter in sorted(tracer.counters.items())
-            },
-            meta=dict(tracer.meta),
-        )
 
 
 def _load_chrome(doc: Dict[str, Any]) -> TraceData:
@@ -254,44 +178,13 @@ def _load_chrome(doc: Dict[str, Any]) -> TraceData:
     return data
 
 
-def _load_jsonl(lines: List[str]) -> TraceData:
-    data = TraceData()
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        obj = json.loads(line)
-        kind = obj.get("type")
-        if kind == "meta":
-            data.meta = dict(obj.get("meta", {}))
-        elif kind == "span":
-            data.spans.append(
-                Span(
-                    track=obj["track"],
-                    name=obj["name"],
-                    t0=obj["t0"],
-                    t1=obj["t1"],
-                    args=dict(obj.get("args", {})),
-                )
-            )
-        elif kind == "counter":
-            data.counters[obj["name"]] = list(zip(obj["t"], obj["v"]))
-        else:
-            raise ValueError(f"unknown JSONL record type {kind!r}")
-    data.spans.sort(key=_span_sort_key)
-    return data
-
-
 def load_trace(path: str) -> TraceData:
-    """Load a trace written by either exporter (format auto-detected)."""
+    """Load a Chrome trace-event JSON file written by the exporter."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if not text.strip():
         raise ValueError(f"{path}: empty trace file")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError:
-        doc = None  # multiple lines: the JSONL format
-    if isinstance(doc, dict) and "traceEvents" in doc:
-        return _load_chrome(doc)
-    return _load_jsonl(text.splitlines())
+    doc = json.loads(text)  # malformed JSON raises a ValueError subclass
+    if not isinstance(doc, dict) or "traceEvents" not in doc:
+        raise ValueError(f"{path}: not a Chrome trace-event file")
+    return _load_chrome(doc)

@@ -15,7 +15,7 @@ A :class:`Tracer` collects two kinds of telemetry from a simulation run:
   one counter.
 
 Tracing is strictly opt-in. A :class:`~repro.simengine.Simulator` built
-without a tracer (and with none :func:`install`-ed) records nothing and
+without a tracer (and with none :func:`installed`) records nothing and
 pays only a handful of ``is None`` checks. Timestamps are simulated
 seconds supplied by the instrumentation sites — this module never reads
 a clock of its own, so traces are deterministic by construction.
@@ -32,9 +32,7 @@ __all__ = [
     "Span",
     "Tracer",
     "current_tracer",
-    "install",
     "installed",
-    "uninstall",
 ]
 
 
@@ -272,19 +270,6 @@ _CURRENT: Optional[Tracer] = None
 def current_tracer() -> Optional[Tracer]:
     """The installed tracer, or ``None`` when tracing is off."""
     return _CURRENT
-
-
-def install(tracer: Tracer) -> Tracer:
-    """Install ``tracer`` as the fallback for new simulators."""
-    global _CURRENT
-    _CURRENT = tracer
-    return tracer
-
-
-def uninstall() -> None:
-    """Remove the installed tracer (new simulators stop tracing)."""
-    global _CURRENT
-    _CURRENT = None
 
 
 @contextmanager

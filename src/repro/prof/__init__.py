@@ -17,12 +17,12 @@ against. Two coordinated halves:
   utilization) and sampled series riding the obs counter plumbing; its
   artifacts are byte-deterministic.
 
-Artifacts (``repro perf record`` / ``repro all --profile DIR``): a JSON
-profile, a ``flamegraph.pl``-compatible collapsed-stack file and a
-metrics JSON per experiment. ``repro perf summary|flame|diff`` analyse
-them; ``benchmarks/compare.py`` ingests per-phase timings for the
-schema-2 regression baseline. See docs/OBSERVABILITY.md ("Profiling the
-engine").
+Artifacts (``repro all --only ID --profile DIR``, or
+``ExperimentRunner(profile_dir=DIR).run([ID])``): a JSON profile, a
+``flamegraph.pl``-compatible collapsed-stack file and a metrics JSON per
+experiment. ``repro perf summary|diff`` analyse them;
+``benchmarks/compare.py`` ingests per-phase timings for the schema-2
+regression baseline. See docs/OBSERVABILITY.md ("Profiling the engine").
 """
 
 from repro.prof.export import (
@@ -37,7 +37,6 @@ from repro.prof.profiler import (
     current_profiler,
     installed_profiler,
 )
-from repro.prof.record import RecordOutcome, record_experiment
 
 __all__ = [
     "EngineProfiler",
@@ -46,11 +45,9 @@ __all__ = [
     "MetricsRegistry",
     "POW2_BUCKETS",
     "PROFILE_SCHEMA",
-    "RecordOutcome",
     "current_profiler",
     "installed_profiler",
     "load_profile",
     "profile_dict",
-    "record_experiment",
     "write_artifacts",
 ]

@@ -1,18 +1,16 @@
-"""``repro perf``: record, summarise and compare engine profiles.
+"""``repro perf``: summarise and compare engine profiles.
 
 Usage::
 
-    python -m repro perf record --exp fig22 [--out profiles/] [--faults PLAN]
     python -m repro perf summary [PROFILE ...] [--top K]
-    python -m repro perf flame PROFILE [-o OUT.folded]
     python -m repro perf diff A.profile.json B.profile.json [--top K] \\
         [--fail-over PCT]
 
+Profiles come from ``repro all --only ID --profile profiles/``, which
+also writes the ``<id>.folded`` flamegraph input next to each one.
 ``summary`` with no arguments summarises every ``*.profile.json`` under
-``profiles/`` (where ``record`` writes by default), so the two-step
-``repro perf record --exp fig22 && repro perf summary`` just works.
-``diff --fail-over PCT`` exits nonzero when any engine phase slowed by
-more than PCT percent — the CI regression gate.
+``profiles/``. ``diff --fail-over PCT`` exits nonzero when any engine
+phase slowed by more than PCT percent — the CI regression gate.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from repro.prof.analyze import (
     phase_rows,
     site_rows,
 )
-from repro.prof.export import folded_lines, load_profile
+from repro.prof.export import load_profile
 
 __all__ = ["main", "render_diff", "render_summary"]
 
@@ -102,28 +100,15 @@ def _failing_phases(a: dict, b: dict, fail_over_pct: float) -> List[str]:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro perf",
-        description="Record and analyse engine (wall-clock) profiles of "
-        "the repro discrete-event simulator.",
+        description="Summarise and compare engine (wall-clock) profiles "
+        "of the repro discrete-event simulator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    p_rec = sub.add_parser("record", help="profile a registered experiment")
-    p_rec.add_argument("--exp", required=True, metavar="ID",
-                       help="experiment id, e.g. fig22")
-    p_rec.add_argument("--out", default="profiles", metavar="DIR",
-                       help="artifact directory (default profiles/)")
-    p_rec.add_argument("--faults", default=None, metavar="PLAN",
-                       help="inject faults from a JSON fault plan")
     p_sum = sub.add_parser("summary", help="summarise recorded profiles")
     p_sum.add_argument("profiles", nargs="*", metavar="PROFILE",
                        help="profile files (default: profiles/*.profile.json)")
     p_sum.add_argument("--top", type=int, default=10,
                        help="rows per ranking table (default 10)")
-    p_flame = sub.add_parser(
-        "flame", help="emit flamegraph.pl collapsed stacks from a profile"
-    )
-    p_flame.add_argument("profile")
-    p_flame.add_argument("-o", "--out", default=None, metavar="OUT",
-                         help="output file (default: stdout)")
     p_diff = sub.add_parser("diff", help="compare two profiles (A -> B)")
     p_diff.add_argument("profile_a")
     p_diff.add_argument("profile_b")
@@ -137,26 +122,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_record(args: argparse.Namespace) -> int:
-    from repro.core.registry import UnknownExperimentError
-    from repro.prof.record import record_experiment
-
-    try:
-        outcome = record_experiment(args.exp, args.out, faults=args.faults)
-    except UnknownExperimentError as exc:
-        print(f"repro perf: {exc}", file=sys.stderr)
-        return 2
-    note = "" if outcome.had_companion else " (analytic driver, no companion)"
-    print(
-        f"profiled {args.exp}: {outcome.events} events, "
-        f"{outcome.samples} samples, "
-        f"{outcome.run_wall_ns / 1e6:.3f} ms engine{note}"
-    )
-    for path in outcome.paths:
-        print(f"wrote {path}")
-    return 0
-
-
 def _cmd_summary(args: argparse.Namespace) -> int:
     paths = list(args.profiles)
     if not paths:
@@ -166,7 +131,8 @@ def _cmd_summary(args: argparse.Namespace) -> int:
         if not paths:
             print(
                 "repro perf: no profiles given and none found under "
-                "profiles/ — run `repro perf record --exp ID` first",
+                "profiles/ — run `repro all --only ID --profile profiles` "
+                "first",
                 file=sys.stderr,
             )
             return 2
@@ -174,18 +140,6 @@ def _cmd_summary(args: argparse.Namespace) -> int:
         if i:
             print()
         print(render_summary(load_profile(path), top=args.top, label=path))
-    return 0
-
-
-def _cmd_flame(args: argparse.Namespace) -> int:
-    profile = load_profile(args.profile)
-    lines = folded_lines(profile["stacks"])
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if args.out:
-        pathlib.Path(args.out).write_text(text)
-        print(f"wrote {args.out} ({len(lines)} stacks)", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
     return 0
 
 
@@ -209,13 +163,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "record":
-            return _cmd_record(args)
         if args.command == "summary":
             return _cmd_summary(args)
-        if args.command == "flame":
-            return _cmd_flame(args)
         return _cmd_diff(args)
+    except BrokenPipeError:
+        raise  # the reader went away: repro.__main__ ends quietly
     except (OSError, ValueError) as exc:
         print(f"repro perf: {exc}", file=sys.stderr)
         return 2

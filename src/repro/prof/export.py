@@ -75,11 +75,6 @@ def profile_dict(
     }
 
 
-def folded_lines(stacks: Dict[str, int]) -> List[str]:
-    """``flamegraph.pl`` collapsed-stack lines, sorted for determinism."""
-    return [f"{path} {value}" for path, value in sorted(stacks.items())]
-
-
 def write_artifacts(
     prof: EngineProfiler,
     out_dir: str,
@@ -93,7 +88,8 @@ def write_artifacts(
     """
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    lines = folded_lines(prof.stack_self_ns)
+    # flamegraph.pl collapsed-stack lines, sorted for determinism.
+    lines = [f"{path} {ns}" for path, ns in sorted(prof.stack_self_ns.items())]
     texts = {
         "profile.json": json.dumps(
             profile_dict(prof, meta), sort_keys=True, indent=1

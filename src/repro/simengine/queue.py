@@ -37,7 +37,7 @@ callback and the race bookkeeping (``seq``, ``parent``).
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heappush
 from typing import Any, Callable, List, Optional, Tuple
 
 _M64 = 0xFFFFFFFFFFFFFFFF
@@ -109,7 +109,8 @@ class EventQueue:
     """Min-heap of timed callbacks; deterministic among equal timestamps.
 
     Entries may be cancelled lazily: :meth:`cancel` marks the entry and
-    :meth:`pop` skips cancelled entries, so cancellation is O(1).
+    the run loop (:meth:`~repro.simengine.simulator.Simulator.run`, which
+    pops the heap inline) skips cancelled entries, so cancellation is O(1).
     """
 
     def __init__(self) -> None:
@@ -159,29 +160,6 @@ class EventQueue:
             entry.cancelled = True
             self._live -= 1
 
-    def peek_time(self) -> Optional[float]:
-        """Timestamp of the next live entry, or ``None`` if empty."""
-        self._drop_cancelled()
-        return self._heap[0][0] if self._heap else None
-
-    def pop(self) -> Tuple[float, Callable[[], Any]]:
-        """Remove and return ``(time, callback)`` of the earliest live entry.
-
-        Also marks it as the current scheduling parent: pushes made while
-        its callback runs record this entry's ``seq`` as their ``parent``.
-        """
-        self._drop_cancelled()
-        if not self._heap:
-            raise IndexError("pop from empty EventQueue")
-        entry = heappop(self._heap)[5]
-        # Mark consumed: a late cancel() on a handle whose entry already
-        # fired (e.g. a fault injector sweeping its handle list at job
-        # end) must be a no-op, not a spurious live-count decrement.
-        entry.cancelled = True
-        self._live -= 1
-        self._current_seq = entry.seq
-        return entry.time, entry.callback
-
     def shift_all(self, delta: float) -> None:
         """Postpone every pending entry by ``delta`` seconds.
 
@@ -198,8 +176,3 @@ class EventQueue:
         for i, (time, group, key, r1, r2, entry) in enumerate(heap):
             heap[i] = (time + delta, group, key, r1, r2, entry)
             entry.time += delta
-
-    def _drop_cancelled(self) -> None:
-        heap = self._heap
-        while heap and heap[0][5].cancelled:
-            heappop(heap)

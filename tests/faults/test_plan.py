@@ -10,9 +10,7 @@ from repro.faults import (
     FaultEvent,
     FaultPlan,
     current_plan,
-    install_plan,
     installed_plan,
-    uninstall_plan,
 )
 
 LINK = ((0, 1, 0), 0, 1)
@@ -150,21 +148,12 @@ def test_sample_validates_inputs():
 
 # -- process-global installation ---------------------------------------------
 
-def test_install_and_uninstall_plan():
-    assert current_plan() is None
-    plan = FaultPlan([])
-    try:
-        assert install_plan(plan) is plan
-        assert current_plan() is plan
-    finally:
-        uninstall_plan()
-    assert current_plan() is None
-
-
 def test_installed_plan_context_restores_previous():
+    assert current_plan() is None
     outer = FaultPlan([])
     inner = FaultPlan([FaultEvent(t_s=0.0, kind="node_crash", node=0)])
-    with installed_plan(outer):
+    with installed_plan(outer) as got:
+        assert got is outer and current_plan() is outer
         with installed_plan(inner):
             assert current_plan() is inner
         assert current_plan() is outer

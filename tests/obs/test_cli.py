@@ -4,21 +4,19 @@ import pytest
 
 from repro.hpcc import PingPong
 from repro.machine.configs import xt4
-from repro.obs import Tracer, installed, write_chrome_trace, write_jsonl
+from repro.obs import Tracer, installed, write_chrome_trace
 from repro.obs.cli import main
 
 
 @pytest.fixture(scope="module")
 def traces(tmp_path_factory):
-    """One SN and one VN ping-pong trace on disk (JSON + JSONL)."""
+    """One SN and one VN ping-pong trace on disk."""
     tmp = tmp_path_factory.mktemp("traces")
     paths = {}
     for mode in ("SN", "VN"):
         with installed(Tracer(meta={"mode": mode})) as tracer:
             PingPong(xt4(mode)).run_des(nbytes=1024, iters=4)
         paths[mode] = write_chrome_trace(tracer, str(tmp / f"{mode}.json"))
-        if mode == "SN":
-            paths["SN_jsonl"] = write_jsonl(tracer, str(tmp / "SN.jsonl"))
     return paths
 
 
@@ -38,11 +36,6 @@ def test_summary_counter_prefix(traces, capsys):
     out = capsys.readouterr().out
     assert "net.nic[" in out
     assert "engine.resource" not in out.split("counters")[-1]
-
-
-def test_summary_reads_jsonl(traces, capsys):
-    assert main(["summary", traces["SN_jsonl"]]) == 0
-    assert "net.xfer" in capsys.readouterr().out
 
 
 def test_diff_modes(traces, capsys):

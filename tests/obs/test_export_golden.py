@@ -1,8 +1,8 @@
 """Exporter golden-file and round-trip tests.
 
-The golden files under ``golden/`` pin the exact serialized bytes of a
+The golden file under ``golden/`` pins the exact serialized bytes of a
 hand-built tracer, so any change to the export format (field order,
-number formatting, event ordering) fails loudly. Regenerate them by
+number formatting, event ordering) fails loudly. Regenerate it by
 running this file as a script::
 
     PYTHONPATH=src python tests/obs/test_export_golden.py
@@ -14,13 +14,10 @@ import pathlib
 import pytest
 
 from repro.obs import (
-    TraceData,
     Tracer,
     dumps_chrome_trace,
-    dumps_jsonl,
     load_trace,
     write_chrome_trace,
-    write_jsonl,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -45,11 +42,6 @@ def test_chrome_golden():
     assert dumps_chrome_trace(hand_built_tracer()) == expected
 
 
-def test_jsonl_golden():
-    expected = (GOLDEN / "hand_built.trace.jsonl").read_text()
-    assert dumps_jsonl(hand_built_tracer()) == expected
-
-
 def test_chrome_trace_structure():
     doc = json.loads(dumps_chrome_trace(hand_built_tracer()))
     assert doc["otherData"] == {"name": "golden", "seed": 7}
@@ -69,26 +61,28 @@ def test_chrome_trace_structure():
     assert link == [4.0, 12.0]
 
 
-def test_round_trip_both_formats(tmp_path):
+def test_chrome_round_trip(tmp_path):
     tracer = hand_built_tracer()
-    reference = TraceData.from_tracer(tracer)
-    chrome = write_chrome_trace(tracer, str(tmp_path / "t.json"))
-    jsonl = write_jsonl(tracer, str(tmp_path / "t.jsonl"))
-    for path in (chrome, jsonl):
-        loaded = load_trace(path)
-        assert loaded.meta["name"] == "golden"
-        assert [(s.track, s.name) for s in loaded.spans] == [
-            (s.track, s.name) for s in reference.spans
-        ]
-        for got, want in zip(loaded.spans, reference.spans):
-            assert abs(got.t0 - want.t0) < 1e-15
-            assert abs(got.t1 - want.t1) < 1e-15
-        assert set(loaded.counters) == set(reference.counters)
-        for cname, want_series in reference.counters.items():
-            got_series = loaded.counters[cname]
-            assert len(got_series) == len(want_series)
-            for (gt, gv), (wt, wv) in zip(got_series, want_series):
-                assert abs(gt - wt) < 1e-15 and abs(gv - wv) < 1e-12
+    path = write_chrome_trace(tracer, str(tmp_path / "t.json"))
+    # The live tracer is the reference (export closed its open span).
+    want_spans = sorted(
+        tracer.spans, key=lambda s: (s.t0, s.t1, s.track, s.name)
+    )
+    loaded = load_trace(path)
+    assert loaded.meta["name"] == "golden"
+    assert [(s.track, s.name) for s in loaded.spans] == [
+        (s.track, s.name) for s in want_spans
+    ]
+    for got, want in zip(loaded.spans, want_spans):
+        assert abs(got.t0 - want.t0) < 1e-15
+        assert abs(got.t1 - want.t1) < 1e-15
+    assert set(loaded.counters) == set(tracer.counters)
+    for cname, counter in tracer.counters.items():
+        want_series = counter.series()
+        got_series = loaded.counters[cname]
+        assert len(got_series) == len(want_series)
+        for (gt, gv), (wt, wv) in zip(got_series, want_series):
+            assert abs(gt - wt) < 1e-15 and abs(gv - wv) < 1e-12
 
 
 def test_load_trace_rejects_empty_and_junk(tmp_path):
@@ -96,10 +90,15 @@ def test_load_trace_rejects_empty_and_junk(tmp_path):
     empty.write_text("")
     with pytest.raises(ValueError, match="empty"):
         load_trace(str(empty))
-    junk = tmp_path / "junk.jsonl"
+    junk = tmp_path / "junk.json"
     junk.write_text('{"type":"mystery"}\n')
-    with pytest.raises(ValueError, match="unknown JSONL record"):
+    with pytest.raises(ValueError, match="not a Chrome trace-event file"):
         load_trace(str(junk))
+    # One JSON object per line (not one document) is malformed JSON.
+    lines = tmp_path / "lines.json"
+    lines.write_text('{"type":"meta"}\n{"type":"span"}\n')
+    with pytest.raises(ValueError):
+        load_trace(str(lines))
 
 
 def _regenerate() -> None:  # pragma: no cover - manual tool
@@ -107,10 +106,7 @@ def _regenerate() -> None:  # pragma: no cover - manual tool
     (GOLDEN / "hand_built.trace.json").write_text(
         dumps_chrome_trace(hand_built_tracer())
     )
-    (GOLDEN / "hand_built.trace.jsonl").write_text(
-        dumps_jsonl(hand_built_tracer())
-    )
-    print(f"regenerated golden files in {GOLDEN}")
+    print(f"regenerated the golden file in {GOLDEN}")
 
 
 if __name__ == "__main__":  # pragma: no cover

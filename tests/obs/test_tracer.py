@@ -4,7 +4,7 @@
 
 import pytest
 
-from repro.obs import Tracer, current_tracer, install, installed, uninstall
+from repro.obs import Tracer, current_tracer, installed
 from repro.obs.tracer import Counter
 from repro.simengine import Delay, Simulator
 
@@ -108,14 +108,11 @@ def test_close_open_spans_and_end_time():
 # ------------------------------------------------------------------ install
 def test_installed_context_restores_previous():
     assert current_tracer() is None
-    outer = install(Tracer())
-    try:
+    with installed(Tracer()) as outer:
         with installed() as inner:
             assert current_tracer() is inner
             assert inner is not outer
         assert current_tracer() is outer
-    finally:
-        uninstall()
     assert current_tracer() is None
 
 

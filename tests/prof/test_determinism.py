@@ -19,8 +19,9 @@ import pathlib
 import subprocess
 import sys
 
+from repro.core.registry import driver_module
 from repro.prof import installed_profiler
-from repro.prof.record import record_experiment
+from repro.runner import ExperimentRunner
 from repro.simrace.certify import _clear_module_memoization, _execution_blob
 
 EXP = "fig22"
@@ -34,31 +35,33 @@ def _deterministic_bytes(profile_path):
 
 
 def _record_twice(tmp_path):
-    outcomes = []
+    """Profile ``EXP`` twice in-process; returns the two artifact dirs."""
+    dirs = []
     for i in (1, 2):
-        out = record_experiment(EXP, str(tmp_path / f"run{i}"))
+        out = tmp_path / f"run{i}"
+        outcome = ExperimentRunner(profile_dir=str(out)).run([EXP])[0]
+        assert not outcome.failed, outcome.error
         # Defeat the drivers' module-level @lru_cache memoization, which
         # would otherwise make the second recording an empty no-op sim.
-        from repro.core import get_experiment
-
-        driver = get_experiment(EXP)
-        _clear_module_memoization(importlib.import_module(driver.__module__))
-        outcomes.append(out)
-    return outcomes
+        _clear_module_memoization(importlib.import_module(driver_module(EXP)))
+        dirs.append(out)
+    return dirs
 
 
 def test_repeat_recordings_are_deterministic(tmp_path):
     run1, run2 = _record_twice(tmp_path)
-    assert run1.events == run2.events > 0
-    profile1, _, metrics1 = run1.paths
-    profile2, _, metrics2 = run2.paths
+    profile1 = run1 / f"{EXP}.profile.json"
+    profile2 = run2 / f"{EXP}.profile.json"
+    events = [json.loads(p.read_text())["engine"]["events"]
+              for p in (profile1, profile2)]
+    assert events[0] == events[1] > 0
     # Sim-time metrics: byte-identical files.
-    assert pathlib.Path(metrics1).read_bytes() == \
-        pathlib.Path(metrics2).read_bytes()
+    assert (run1 / f"{EXP}.metrics.json").read_bytes() == \
+        (run2 / f"{EXP}.metrics.json").read_bytes()
     # Profile: the deterministic section matches byte for byte...
     assert _deterministic_bytes(profile1) == _deterministic_bytes(profile2)
     # ...while the wall-clock section genuinely measured something.
-    doc = json.loads(pathlib.Path(profile1).read_text())
+    doc = json.loads(profile1.read_text())
     assert doc["engine"]["run_wall_ns"] > 0
 
 

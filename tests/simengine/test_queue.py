@@ -1,83 +1,80 @@
-"""Unit tests for the pending-event queue."""
+"""Unit tests for the pending-event queue, drained by the one run loop.
 
-import pytest
+``Simulator.run`` pops the heap inline, so these tests schedule through
+the simulator and check the order in which its loop fires callbacks.
+"""
+
 from hypothesis import given, strategies as st
 
-from repro.simengine.queue import EventQueue
+from repro.simengine import Simulator
 
 
-def test_empty_queue_pop_raises():
-    q = EventQueue()
-    with pytest.raises(IndexError):
-        q.pop()
+def _at(sim, fired, time, label):
+    """Schedule ``label`` at absolute ``time`` (the clock is still 0);
+    firing appends ``(sim.now, label)`` to ``fired``. Returns the handle."""
+    return sim.schedule(time, lambda: fired.append((sim.now, label)))
 
 
 def test_empty_queue_is_falsy():
-    q = EventQueue()
-    assert not q
-    assert len(q) == 0
-    assert q.peek_time() is None
+    sim = Simulator()
+    assert not sim._queue
+    assert len(sim._queue) == 0
+    # Draining an empty queue fires nothing and leaves the clock at 0.
+    assert sim.run() == 0.0
 
 
 def test_orders_by_time():
-    q = EventQueue()
-    out = []
-    q.push(3.0, lambda: out.append("c"))
-    q.push(1.0, lambda: out.append("a"))
-    q.push(2.0, lambda: out.append("b"))
-    while q:
-        _, cb = q.pop()
-        cb()
-    assert out == ["a", "b", "c"]
+    sim, fired = Simulator(), []
+    _at(sim, fired, 3.0, "c")
+    _at(sim, fired, 1.0, "a")
+    _at(sim, fired, 2.0, "b")
+    sim.run()
+    assert [label for _, label in fired] == ["a", "b", "c"]
 
 
 def test_fifo_among_equal_times():
-    q = EventQueue()
-    out = []
+    sim, fired = Simulator(), []
     for i in range(10):
-        q.push(5.0, lambda i=i: out.append(i))
-    while q:
-        q.pop()[1]()
-    assert out == list(range(10))
+        _at(sim, fired, 5.0, i)
+    sim.run()
+    assert [label for _, label in fired] == list(range(10))
 
 
 def test_cancel_skips_entry():
-    q = EventQueue()
-    keep = q.push(1.0, lambda: "keep")
-    drop = q.push(0.5, lambda: "drop")
-    q.cancel(drop)
-    assert len(q) == 1
-    t, cb = q.pop()
-    assert t == 1.0
-    assert cb() == "keep"
-    assert not q
+    sim, fired = Simulator(), []
+    _at(sim, fired, 1.0, "keep")
+    drop = _at(sim, fired, 0.5, "drop")
+    sim.cancel(drop)
+    assert len(sim._queue) == 1
+    sim.run()
+    assert fired == [(1.0, "keep")]
+    assert not sim._queue
 
 
 def test_cancel_twice_is_idempotent():
-    q = EventQueue()
-    e = q.push(1.0, lambda: None)
-    q.cancel(e)
-    q.cancel(e)
-    assert len(q) == 0
+    sim = Simulator()
+    e = sim.schedule(1.0, lambda: None)
+    sim.cancel(e)
+    sim.cancel(e)
+    assert len(sim._queue) == 0
 
 
-def test_peek_time_skips_cancelled_head():
-    q = EventQueue()
-    head = q.push(0.0, lambda: None)
-    q.push(2.0, lambda: None)
-    q.cancel(head)
-    assert q.peek_time() == 2.0
+def test_run_skips_cancelled_head():
+    sim, fired = Simulator(), []
+    head = _at(sim, fired, 0.0, "head")
+    _at(sim, fired, 2.0, "next")
+    sim.cancel(head)
+    sim.run()
+    assert fired[0][0] == 2.0
 
 
 @given(st.lists(st.floats(min_value=0, max_value=1e6, allow_nan=False), max_size=200))
 def test_pop_order_is_sorted(times):
-    q = EventQueue()
+    sim, fired = Simulator(), []
     for t in times:
-        q.push(t, lambda: None)
-    popped = []
-    while q:
-        popped.append(q.pop()[0])
-    assert popped == sorted(times)
+        _at(sim, fired, t, None)
+    sim.run()
+    assert [t for t, _ in fired] == sorted(times)
 
 
 @given(
@@ -87,15 +84,13 @@ def test_pop_order_is_sorted(times):
     )
 )
 def test_cancellation_property(entries):
-    """Live count and pop sequence respect cancellations."""
-    q = EventQueue()
-    handles = [(q.push(t, lambda: None), t, cancel) for t, cancel in entries]
+    """Live count and firing sequence respect cancellations."""
+    sim, fired = Simulator(), []
+    handles = [(_at(sim, fired, t, None), t, cancel) for t, cancel in entries]
     expected = sorted(t for _, t, cancel in handles if not cancel)
     for h, _, cancel in handles:
         if cancel:
-            q.cancel(h)
-    assert len(q) == len(expected)
-    got = []
-    while q:
-        got.append(q.pop()[0])
-    assert got == expected
+            sim.cancel(h)
+    assert len(sim._queue) == len(expected)
+    sim.run()
+    assert [t for t, _ in fired] == expected
